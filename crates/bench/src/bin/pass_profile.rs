@@ -4,13 +4,9 @@
 //! times and writes `BENCH_pass_profile.json`: per-pass mean wall time and
 //! op counts for each kernel, a total-pipeline wall-clock row, a GEMM
 //! scaling section (N = 8/16/32) that documents near-linear pass cost, a
-//! multi-kernel section timing the parallel per-function pipeline at
-//! 1/2/max worker threads, and the aggregate mean per pass across the
+//! multi-kernel section timing the serial pass manager on two
+//! multi-function modules, and the aggregate mean per pass across the
 //! suite. A human-readable summary goes to stdout.
-//!
-//! The multi-kernel section doubles as the determinism gate: the run
-//! *fails* (exit 1) unless every thread count produces byte-identical
-//! printed IR, diagnostics, and per-pass `ops_after`.
 //!
 //! Flags:
 //!   --quick            fewer repetitions (CI smoke mode)
@@ -24,8 +20,7 @@ use std::time::Instant;
 
 const OUT_FILE: &str = "BENCH_pass_profile.json";
 const GEMM_SCALING_NS: [u64; 3] = [8, 16, 32];
-/// Functions in the synthetic replica workload: enough to keep a 4+-core
-/// runner's worker pool saturated through the whole pipeline.
+/// Functions in the synthetic replica workload.
 const REPLICAS: usize = 8;
 
 struct PassSample {
@@ -81,7 +76,7 @@ fn profile_pipeline(build: &dyn Fn() -> ir::Module, reps: usize, codegen: bool) 
 }
 
 /// All five benchmark kernels spliced into one module: the realistic
-/// multi-function workload for the parallel per-function pipeline.
+/// multi-function workload.
 fn suite_module() -> ir::Module {
     let mods: Vec<ir::Module> = kernels::compiled_benchmarks()
         .iter()
@@ -90,8 +85,8 @@ fn suite_module() -> ir::Module {
     ir::Module::splice_top(&mods)
 }
 
-/// A synthetic module of [`REPLICAS`] renamed GEMM functions: uniform
-/// per-function cost, so worker-pool scaling shows up cleanly.
+/// A synthetic module of [`REPLICAS`] renamed GEMM functions of uniform
+/// cost.
 fn replica_module() -> ir::Module {
     let mods: Vec<ir::Module> = (0..REPLICAS)
         .map(|_| kernels::gemm::hir_gemm(kernels::sizes::GEMM_N, 32))
@@ -104,111 +99,44 @@ fn replica_module() -> ir::Module {
     m
 }
 
-/// One multi-kernel measurement at a fixed worker-thread count.
-struct ThreadRun {
-    threads: usize,
-    mean_ns: u128,
-    /// Printed IR after the pipeline (first repetition).
-    printed: String,
-    /// Rendered diagnostics (first repetition).
-    diags: String,
-    /// Aggregated `(pass, ops_after)` per pipeline position.
-    ops_after: Vec<(String, usize)>,
-}
-
-/// Run the standard per-function pipeline on `build()` at `threads` workers.
-fn run_function_pipeline(build: &dyn Fn() -> ir::Module, reps: usize, threads: usize) -> ThreadRun {
+/// Time the serial standard pipeline on one multi-function workload: mean,
+/// min and max over `reps` runs, plus `ops_after` per pipeline position.
+/// Returns the JSON object for the `multi_kernel` section.
+fn profile_multi_kernel(name: &str, build: &dyn Fn() -> ir::Module, reps: usize) -> String {
     let registry = hir::hir_registry();
-    let mut total = 0u128;
-    let mut printed = String::new();
-    let mut diags_text = String::new();
-    let mut ops_after = Vec::new();
-    for rep in 0..reps {
+    let functions = build().top_ops().len();
+    let mut times = Vec::with_capacity(reps);
+    let mut ops_after: Vec<(String, usize)> = Vec::new();
+    for _ in 0..reps {
         let mut m = build();
         let mut diags = ir::DiagnosticEngine::new();
-        let mut fp = hir_opt::standard_function_pipeline(threads);
+        let mut pm = hir_opt::standard_pipeline();
         let t0 = Instant::now();
-        fp.run(&mut m, &registry, &mut diags).expect("pipeline");
-        total += t0.elapsed().as_nanos();
-        if rep == 0 {
-            printed = ir::print_module(&m);
-            diags_text = diags.render();
-            ops_after = fp
-                .timings()
-                .iter()
-                .map(|t| (t.name.clone(), t.ops_after))
-                .collect();
-        }
+        pm.run(&mut m, &registry, &mut diags).expect("pipeline");
+        times.push(t0.elapsed().as_nanos());
+        ops_after = pm
+            .timings()
+            .iter()
+            .map(|t| (t.name.clone(), t.ops_after))
+            .collect();
     }
-    ThreadRun {
-        threads,
-        mean_ns: total / reps as u128,
-        printed,
-        diags: diags_text,
-        ops_after,
-    }
-}
-
-/// Profile one multi-function workload at 1/2/max threads and enforce that
-/// every thread count is byte-identical to threads=1. Returns the JSON
-/// object for the `multi_kernel` section.
-fn profile_multi_kernel(name: &str, build: &dyn Fn() -> ir::Module, reps: usize) -> String {
-    let functions = build().top_ops().len();
-    // Scaling rows at 1, 2, and all available cores. threads=2 stays even on
-    // a single-core machine (two OS threads): it exercises the worker pool
-    // and the determinism gate either way.
-    let max = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut counts = vec![1usize, 2];
-    if max > 2 {
-        counts.push(max);
-    }
-
-    let runs: Vec<ThreadRun> = counts
-        .iter()
-        .map(|&t| run_function_pipeline(build, reps, t))
-        .collect();
-    let base = &runs[0];
-    println!("{name} ({functions} functions)");
-    for r in &runs {
-        // The determinism gate: any divergence from the single-thread run
-        // is a merge-order bug, not a tuning issue.
-        if r.printed != base.printed || r.diags != base.diags || r.ops_after != base.ops_after {
-            eprintln!(
-                "determinism violation: {name} at threads={} differs from threads=1",
-                r.threads
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "  threads={:<2} total pipeline mean {:>10}  (speedup {:.2}x)",
-            r.threads,
-            obs::format_duration_ns(r.mean_ns as u64),
-            base.mean_ns as f64 / r.mean_ns as f64,
-        );
-    }
-
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                r#"      {{"threads":{},"mean_ns":{},"speedup_vs_1":{:.3}}}"#,
-                r.threads,
-                r.mean_ns,
-                base.mean_ns as f64 / r.mean_ns as f64,
-            )
-        })
-        .collect();
-    let passes: Vec<String> = base
-        .ops_after
+    let mean = times.iter().sum::<u128>() / reps as u128;
+    let (min, max) = (times.iter().min().unwrap(), times.iter().max().unwrap());
+    println!(
+        "{name} ({functions} functions): serial pipeline mean {:>10}  (min {}, max {})",
+        obs::format_duration_ns(mean as u64),
+        obs::format_duration_ns(*min as u64),
+        obs::format_duration_ns(*max as u64),
+    );
+    let passes: Vec<String> = ops_after
         .iter()
         .map(|(pass, ops)| format!(r#"      {{"pass":"{}","ops_after":{ops}}}"#, escape(pass)))
         .collect();
     format!(
-        "    {{\"kernel\":\"{}\",\"functions\":{},\"reps\":{},\"deterministic\":true,\"rows\":[\n{}\n    ],\"passes\":[\n{}\n    ]}}",
+        "    {{\"kernel\":\"{}\",\"functions\":{},\"reps\":{},\"serial\":{{\"mean_ns\":{mean},\"min_ns\":{min},\"max_ns\":{max}}},\"passes\":[\n{}\n    ]}}",
         escape(name),
         functions,
         reps,
-        rows.join(",\n"),
         passes.join(",\n"),
     )
 }
@@ -346,9 +274,8 @@ fn main() {
         ));
     }
 
-    // Multi-kernel workloads through the parallel per-function pipeline:
-    // thread-scaling rows plus the byte-identical determinism gate.
-    println!("\nmulti-kernel (parallel function pipeline)");
+    // Multi-function workloads through the serial pass manager.
+    println!("\nmulti-kernel");
     let multi_json = [
         profile_multi_kernel("suite", &suite_module, reps),
         profile_multi_kernel(&format!("gemm_x{REPLICAS}"), &replica_module, reps),

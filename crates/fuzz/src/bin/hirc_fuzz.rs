@@ -12,8 +12,8 @@
 //! 2 means usage error.
 
 use hir_fuzz::{
-    check_equivalence, check_sim_engines, load_corpus, mutant, run_pipeline_with_threads,
-    synth_multi_func, EquivOracle, SimOracle,
+    check_equivalence, check_sim_engines, load_corpus, mutant, run_pipeline, synth_multi_func,
+    EquivOracle, SimOracle,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::process::ExitCode;
@@ -26,8 +26,6 @@ options:
   --corpus=DIR   directory of .mlir seed files (default examples)
   --save=DIR     write crashing inputs here (default fuzz-crashes)
   --max-mutations=N  max stacked mutations per input (default 4)
-  --threads=N    worker threads for the verify/optimize stages: a positive
-                 integer or 'max' (all cores; default 1)
   --check-equiv[=K]  for every mutant that survives through codegen, also run
                  the BMC miter as an oracle: prove (bounded to K cycles,
                  default 8) that the standard pipeline preserved its
@@ -49,7 +47,6 @@ struct Options {
     corpus: String,
     save: String,
     max_mutations: usize,
-    threads: usize,
     check_equiv: Option<u32>,
     check_sim: Option<usize>,
 }
@@ -61,7 +58,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         corpus: "examples".into(),
         save: "fuzz-crashes".into(),
         max_mutations: 4,
-        threads: 1,
         check_equiv: None,
         check_sim: None,
     };
@@ -70,18 +66,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             opts.iters = v.parse().map_err(|_| format!("bad --iters '{v}'"))?;
         } else if let Some(v) = a.strip_prefix("--seed=") {
             opts.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            opts.threads = if v == "max" {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            } else {
-                let n: usize = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1 (or 'max')".into());
-                }
-                n
-            };
         } else if let Some(v) = a.strip_prefix("--corpus=") {
             opts.corpus = v.to_string();
         } else if let Some(v) = a.strip_prefix("--save=") {
@@ -137,11 +121,10 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "hirc-fuzz: {} corpus file(s), {} iterations, seed {}, {} thread(s)",
+        "hirc-fuzz: {} corpus file(s), {} iterations, seed {}",
         corpus.len(),
         opts.iters,
-        opts.seed,
-        opts.threads
+        opts.seed
     );
 
     let mut crashes: u64 = 0;
@@ -155,8 +138,8 @@ fn main() -> ExitCode {
         // without replaying the previous iterations.
         let mut rng = StdRng::seed_from_u64(opts.seed ^ (iter.wrapping_mul(0x9E37_79B9)));
         // One iteration in four starts from a synthesized multi-function
-        // module (cross-calls, 2-8 funcs) to drive the parallel pipeline's
-        // split/splice path; the rest mutate the on-disk corpus.
+        // module (cross-calls, 2-8 funcs) to drive the cross-function paths
+        // (symbol lookup, call checks); the rest mutate the on-disk corpus.
         let input = if rng.gen_bool(0.25) {
             let base = synth_multi_func(&mut rng);
             mutant(base.as_bytes(), opts.max_mutations, &mut rng)
@@ -164,7 +147,7 @@ fn main() -> ExitCode {
             let (_, base) = &corpus[rng.gen_range(0..corpus.len())];
             mutant(base, opts.max_mutations, &mut rng)
         };
-        match run_pipeline_with_threads(&input, opts.threads) {
+        match run_pipeline(&input) {
             Ok(o) => {
                 let bucket = if o.codegen_ok {
                     2
@@ -177,7 +160,7 @@ fn main() -> ExitCode {
                 // The translation-validation oracle: only inputs that compile
                 // all the way through codegen have two designs to compare.
                 if let (Some(k), true) = (opts.check_equiv, o.codegen_ok) {
-                    match check_equivalence(&input, k, opts.threads) {
+                    match check_equivalence(&input, k) {
                         Ok(EquivOracle::Proved) => equiv[0] += 1,
                         Ok(EquivOracle::Sampled) => equiv[1] += 1,
                         Ok(EquivOracle::Skipped(_)) => equiv[2] += 1,

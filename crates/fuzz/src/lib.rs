@@ -82,19 +82,6 @@ fn guard<T>(stage: &'static str, f: impl FnOnce() -> T) -> Result<T, PanicReport
 /// # Errors
 /// A [`PanicReport`] for the first stage whose code panics.
 pub fn run_pipeline(source: &str) -> Result<PipelineOutcome, PanicReport> {
-    run_pipeline_with_threads(source, 1)
-}
-
-/// [`run_pipeline`] with an explicit worker-thread count for the verify and
-/// optimize stages (`0` = auto), exercising the parallel per-function
-/// pipeline's split/splice path on multi-function mutants.
-///
-/// # Errors
-/// A [`PanicReport`] for the first stage whose code panics.
-pub fn run_pipeline_with_threads(
-    source: &str,
-    threads: usize,
-) -> Result<PipelineOutcome, PanicReport> {
     let mut outcome = PipelineOutcome::default();
 
     // Same front-end dispatch as hirc: pretty form vs generic form.
@@ -118,7 +105,7 @@ pub fn run_pipeline_with_threads(
     outcome.verified = guard("verify", || {
         let mut diags = ir::DiagnosticEngine::new();
         ir::verify_module(&module, &registry, &mut diags).is_ok()
-            && hir_verify::verify_schedule_with_threads(&module, &mut diags, threads).is_ok()
+            && hir_verify::verify_schedule(&module, &mut diags).is_ok()
     })?;
 
     // Printers must handle anything the parser produced, including partially
@@ -136,11 +123,10 @@ pub fn run_pipeline_with_threads(
     // modules that passed both verifiers.
     if outcome.verified && n_errors == 0 {
         outcome.optimized = guard("optimize", || {
-            // The per-function pipeline: exercises split/splice and the
-            // worker pool on multi-function mutants.
-            let mut fp = hir_opt::standard_function_pipeline(threads);
             let mut diags = ir::DiagnosticEngine::new();
-            fp.run(&mut module, &registry, &mut diags).is_ok()
+            hir_opt::standard_pipeline()
+                .run(&mut module, &registry, &mut diags)
+                .is_ok()
         })?;
         outcome.codegen_ok = guard("codegen", || {
             hir_codegen::generate_design(&module, &hir_codegen::CodegenOptions::default()).is_ok()
@@ -181,7 +167,7 @@ pub enum EquivOracle {
 /// # Errors
 /// A [`PanicReport`] if the oracle itself panics — that is a fuzz finding in
 /// its own right, not an input rejection.
-pub fn check_equivalence(source: &str, k: u32, threads: usize) -> Result<EquivOracle, PanicReport> {
+pub fn check_equivalence(source: &str, k: u32) -> Result<EquivOracle, PanicReport> {
     guard("equiv", || {
         // Same front-end dispatch as `run_pipeline`.
         let pretty_input = source
@@ -202,15 +188,17 @@ pub fn check_equivalence(source: &str, k: u32, threads: usize) -> Result<EquivOr
         let registry = hir::hir_registry();
         let mut diags = ir::DiagnosticEngine::new();
         if ir::verify_module(&base, &registry, &mut diags).is_err()
-            || hir_verify::verify_schedule_with_threads(&base, &mut diags, threads).is_err()
+            || hir_verify::verify_schedule(&base, &mut diags).is_err()
         {
             return EquivOracle::Skipped("verification failed".to_string());
         }
 
         let mut opt = base.clone();
-        let mut fp = hir_opt::standard_function_pipeline(threads);
         let mut diags = ir::DiagnosticEngine::new();
-        if fp.run(&mut opt, &registry, &mut diags).is_err() {
+        if hir_opt::standard_pipeline()
+            .run(&mut opt, &registry, &mut diags)
+            .is_err()
+        {
             return EquivOracle::Skipped("optimization failed".to_string());
         }
 
@@ -329,7 +317,7 @@ pub fn check_sim_engines(source: &str, seed: u64, lanes: usize) -> Result<SimOra
         let registry = hir::hir_registry();
         let mut diags = ir::DiagnosticEngine::new();
         if ir::verify_module(&module, &registry, &mut diags).is_err()
-            || hir_verify::verify_schedule_with_threads(&module, &mut diags, 1).is_err()
+            || hir_verify::verify_schedule(&module, &mut diags).is_err()
         {
             return SimOracle::Skipped("verification failed".to_string());
         }
@@ -581,9 +569,8 @@ pub fn mutant(base: &[u8], rounds: usize, rng: &mut StdRng) -> String {
 /// The first function is an external declaration; every later function has a
 /// body that calls one randomly chosen earlier function (delays balanced with
 /// `hir.delay` so the module passes schedule verification). Seeding the
-/// mutator with these drives the per-function parallel pipeline — split,
-/// worker pool, deterministic splice/merge — instead of the single-function
-/// path the `examples/` corpus mostly covers.
+/// mutator with these drives cross-function calls, callee signature checks
+/// and multi-function codegen, which the `examples/` corpus mostly lacks.
 pub fn synth_multi_func(rng: &mut StdRng) -> String {
     let n = rng.gen_range(2..9usize);
     // delays[k] = declared result delay of function k.
@@ -790,13 +777,13 @@ mod tests {
     }
 
     #[test]
-    fn multi_func_mutants_hold_the_contract_at_max_threads() {
+    fn multi_func_mutants_hold_the_contract() {
         quiet(|| {
             for seed in 0..30u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let base = synth_multi_func(&mut rng);
                 let input = mutant(base.as_bytes(), 4, &mut rng);
-                if let Err(report) = run_pipeline_with_threads(&input, 4) {
+                if let Err(report) = run_pipeline(&input) {
                     panic!("seed {seed}: {report}\ninput:\n{input}");
                 }
             }

@@ -185,12 +185,11 @@ pub fn pipeline_from_names<S: AsRef<str>>(names: &[S]) -> Result<PassManager, St
     Ok(pm)
 }
 
-/// The standard pipeline as a parallel [`ir::FunctionPipeline`]: the same
-/// passes as [`standard_pipeline`], replicated per function and run on
-/// `threads` workers (0 = auto; see [`ir::resolve_thread_count`]).
-pub fn standard_function_pipeline(threads: usize) -> ir::FunctionPipeline {
-    function_pipeline_from_names(STANDARD_PASS_NAMES, threads)
-        .expect("standard pass names are registered")
+// Kept only because the benchmark package, which may not change, calls this
+// name; it returns the serial `standard_pipeline` and ignores `_threads`.
+#[doc(hidden)]
+pub fn standard_function_pipeline(_threads: usize) -> PassManager {
+    standard_pipeline()
 }
 
 /// Pass names of [`standard_pipeline`], in order.
@@ -204,30 +203,6 @@ pub const STANDARD_PASS_NAMES: &[&str] = &[
     "hir-canonicalize",
     "hir-cse",
 ];
-
-/// Build a parallel [`ir::FunctionPipeline`] from pass names: each worker
-/// constructs its own pass instances through [`pass_by_name`].
-///
-/// # Errors
-/// Returns a "did you mean" message for an unknown name.
-pub fn function_pipeline_from_names<S: AsRef<str>>(
-    names: &[S],
-    threads: usize,
-) -> Result<ir::FunctionPipeline, String> {
-    let mut fp = ir::FunctionPipeline::new();
-    for name in names {
-        let name = name.as_ref().to_string();
-        if pass_by_name(&name).is_none() {
-            return Err(format!(
-                "unknown pass '{name}' (known passes: {})",
-                registered_pass_names().join(", ")
-            ));
-        }
-        fp.add_factory(move || pass_by_name(&name).expect("name checked at registration"));
-    }
-    fp.threads = threads;
-    Ok(fp)
-}
 
 #[cfg(test)]
 mod tests {
@@ -363,59 +338,6 @@ mod tests {
     #[test]
     fn standard_pass_names_match_standard_pipeline() {
         assert_eq!(standard_pipeline().pass_names(), STANDARD_PASS_NAMES);
-        assert_eq!(
-            standard_function_pipeline(1).pass_names(),
-            STANDARD_PASS_NAMES
-        );
-    }
-
-    #[test]
-    fn function_pipeline_unknown_pass_is_rejected() {
-        let err = function_pipeline_from_names(&["hir-cse", "no-such-pass"], 1).unwrap_err();
-        assert!(err.contains("no-such-pass"), "{err}");
-    }
-
-    /// The parallel function pipeline must be an optimization-level no-op
-    /// relative to the serial pipeline: identical printed IR, identical op
-    /// counts, at every thread count.
-    #[test]
-    fn function_pipeline_matches_serial_pipeline() {
-        let build = || {
-            let mut hb = HirBuilder::new();
-            for i in 0..4 {
-                let f = hb.func(&format!("k{i}"), &[("x", Type::int(32))], &[0]);
-                let x = f.args(hb.module())[0];
-                let a = hb.typed_const(3, Type::int(32));
-                let b = hb.typed_const(4, Type::int(32));
-                let ab = hb.mult(a, b);
-                let y = hb.add(x, ab);
-                let z = hb.add(x, ab); // CSE fodder
-                let s = hb.xor(y, z);
-                hb.return_(&[s]);
-            }
-            hb.finish()
-        };
-        let registry = hir::hir_registry();
-
-        let mut serial = build();
-        let mut diags = DiagnosticEngine::new();
-        standard_pipeline()
-            .run(&mut serial, &registry, &mut diags)
-            .unwrap();
-        let serial_text = ir::print_module(&serial);
-
-        for threads in [1, 2, 8] {
-            let mut m = build();
-            let mut diags = DiagnosticEngine::new();
-            let mut fp = standard_function_pipeline(threads);
-            fp.run(&mut m, &registry, &mut diags).unwrap();
-            assert_eq!(
-                ir::print_module(&m),
-                serial_text,
-                "threads={threads} diverged from serial"
-            );
-            assert_eq!(m.op_count(), serial.op_count());
-        }
     }
 
     #[test]

@@ -54,78 +54,15 @@ pub fn verify_schedule(m: &Module, diags: &mut DiagnosticEngine) -> Result<(), u
     }
 }
 
-/// [`verify_schedule`] fanned out over a worker pool: functions are
-/// distributed across `threads` scoped threads (0 = auto via
-/// [`ir::resolve_thread_count`]), each worker verifying against its own
-/// clone of the module (schedule analysis resolves callee signatures
-/// through the symbol table, so every worker needs the whole module — and
-/// [`ir::Module`] is `Send` but deliberately not `Sync`, its layout-stamp
-/// caches are single-threaded). Per-function diagnostics are merged in
-/// module order, so output is byte-identical to the serial path at any
-/// thread count.
-///
-/// # Errors
-/// Emits diagnostics and returns `Err(error_count)` when schedule errors
-/// are found.
+// Kept only because the benchmark package, which may not change, calls this
+// name; it forwards to `verify_schedule` and ignores `_threads`.
+#[doc(hidden)]
 pub fn verify_schedule_with_threads(
     m: &Module,
     diags: &mut DiagnosticEngine,
-    threads: usize,
+    _threads: usize,
 ) -> Result<(), usize> {
-    let funcs: Vec<ir::OpId> = m
-        .top_ops()
-        .iter()
-        .copied()
-        .filter(|&t| FuncOp::wrap(m, t).is_some())
-        .collect();
-    let workers = ir::resolve_thread_count(threads).min(funcs.len()).max(1);
-    if workers <= 1 {
-        return verify_schedule(m, diags);
-    }
-    let _span = obs::span("verify_schedule");
-    let before = diags.error_count();
-    let n = funcs.len();
-    let slots: Vec<std::sync::Mutex<Vec<ir::Diagnostic>>> =
-        (0..n).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let funcs = &funcs;
-            let slots = &slots;
-            let next = &next;
-            let m = m.clone();
-            scope.spawn(move || {
-                let mut span = obs::span_in(format!("worker {w}"), "verify_schedule worker");
-                span.pid_tid(1, ir::WORKER_TID_BASE + w as u32);
-                let symbols = SymbolTable::build(&m);
-                loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= funcs.len() {
-                        break;
-                    }
-                    let func = FuncOp::wrap(&m, funcs[idx]).expect("filtered to funcs");
-                    obs::counter_add("verify", "functions", 1);
-                    let mut local = DiagnosticEngine::new();
-                    let info = validity::analyze_function(&m, func, &symbols, &mut local);
-                    obs::counter_add("verify", "values_analyzed", info.validity.len() as u64);
-                    conflict::check_port_conflicts(&m, func, &info, &mut local);
-                    *slots[idx].lock().unwrap() = local.take();
-                }
-            });
-        }
-    });
-    for slot in slots {
-        for d in slot.into_inner().unwrap() {
-            diags.emit(d);
-        }
-    }
-    let found = diags.error_count() - before;
-    obs::counter_add("verify", "schedule_errors", found as u64);
-    if found == 0 {
-        Ok(())
-    } else {
-        Err(found)
-    }
+    verify_schedule(m, diags)
 }
 
 /// Compute the schedule analysis for a single function without verifying the
@@ -209,33 +146,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("note: Prior definition here."), "{text}");
-    }
-
-    #[test]
-    fn parallel_verify_is_byte_identical_to_serial() {
-        // Four functions, two of them broken: the fan-out must report the
-        // same diagnostics in the same (module) order at any thread count.
-        let mut combined = Module::splice_top(&[
-            figure1_module(false),
-            figure1_module(true),
-            figure1_module(false),
-            figure1_module(true),
-        ]);
-        for (i, t) in combined.top_ops().to_vec().into_iter().enumerate() {
-            combined.set_attr(t, ir::SYM_NAME, ir::Attribute::string(format!("f{i}")));
-        }
-        let mut serial = DiagnosticEngine::new();
-        let serial_err = verify_schedule(&combined, &mut serial).unwrap_err();
-        for threads in [2, 4, 8] {
-            let mut par = DiagnosticEngine::new();
-            let par_err = verify_schedule_with_threads(&combined, &mut par, threads).unwrap_err();
-            assert_eq!(serial_err, par_err);
-            assert_eq!(
-                serial.render(),
-                par.render(),
-                "threads={threads} diagnostic order diverged"
-            );
-        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod diagnostics;
 pub mod dialect;
 pub mod location;
 pub mod module;
-pub mod parallel;
 pub mod parser;
 pub mod pass;
 pub mod printer;
@@ -53,10 +52,6 @@ pub use location::Location;
 pub use module::{
     BlockId, Module, OpData, OpId, OpName, RegionId, Use, ValueData, ValueDef, ValueId,
 };
-pub use parallel::{
-    default_thread_count, resolve_thread_count, FunctionPipeline, FunctionReport, PassFactory,
-    WORKER_TID_BASE,
-};
 pub use parser::{
     parse_module, parse_module_recover, ParseError, RecoveredParse, DEFAULT_ERROR_LIMIT,
 };
@@ -70,3 +65,10 @@ pub use rewrite::{apply_patterns_greedily, RewritePattern, RewriteStats, Rewrite
 pub use symbol::{SymbolTable, SYM_NAME};
 pub use types::{FloatKind, Signedness, Type, TypeKind};
 pub use verifier::{value_visible_at, verify_module};
+
+// Kept only because the benchmark package, which may not change, calls this
+// name; nothing in the toolchain runs worker threads, so the count is unused.
+#[doc(hidden)]
+pub fn resolve_thread_count(requested: usize) -> usize {
+    requested.max(1)
+}

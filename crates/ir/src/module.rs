@@ -618,9 +618,7 @@ impl Module {
     /// The tree must be *isolated from above*: every operand must be defined
     /// by an op or block argument inside the tree (HIR functions satisfy
     /// this; cross-function references go through symbol attributes). This is
-    /// the primitive behind [`Module::split_top`] / [`Module::splice_top`],
-    /// which hand whole functions to pass-pipeline worker threads as owned
-    /// sub-modules with their own layout-stamp caches.
+    /// the primitive behind [`Module::split_top`] / [`Module::splice_top`].
     ///
     /// # Panics
     /// Panics if an operand of a cloned op is defined outside the tree.
@@ -718,9 +716,8 @@ impl Module {
     }
 
     /// Split each top-level op into its own freshly-arena'd module, in
-    /// module order. Sub-modules are `Send`, own all their storage, and carry
-    /// fresh layout-stamp caches, so a worker pool can run pass pipelines
-    /// over them concurrently with no shared state.
+    /// module order. Every op is deep-cloned, so this costs about as much as
+    /// copying the whole module.
     pub fn split_top(&self) -> Vec<Module> {
         self.top
             .iter()
@@ -817,13 +814,6 @@ impl Module {
         }
     }
 }
-
-/// Compile-time proof that modules (and thus per-function sub-modules) can
-/// move to pass-pipeline worker threads.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Module>()
-};
 
 #[cfg(test)]
 mod tests {

@@ -442,8 +442,7 @@ impl PassManager {
         &self.remarks
     }
 
-    /// Take ownership of the last `run`'s remarks (the parallel function
-    /// pipeline moves them into per-function outcome slots).
+    /// Take ownership of the last `run`'s remarks.
     pub fn take_remarks(&mut self) -> Vec<obs::Remark> {
         std::mem::take(&mut self.remarks)
     }
@@ -460,10 +459,7 @@ impl PassManager {
     }
 }
 
-/// Render a timing table for any pipeline (serial [`PassManager`] or the
-/// parallel function pipeline): per-pass wall time, live op-count delta, and
-/// result, with a `total` footer row.
-pub fn render_timing_report(timings: &[PassTiming]) -> String {
+fn render_timing_report(timings: &[PassTiming]) -> String {
     let name_w = timings
         .iter()
         .map(|t| t.name.len())

@@ -66,10 +66,6 @@ pub struct SpanRecord {
     pub depth: u32,
     /// Free-form key/value annotations (shown in the trace viewer).
     pub args: Vec<(String, String)>,
-    /// Explicit Chrome-trace `(pid, tid)` for this span's track, set by
-    /// worker threads so each worker renders as its own named track. `None`
-    /// keeps the default one-track-per-stage numbering.
-    pub pid_tid: Option<(u32, u32)>,
 }
 
 /// One counter, as returned by [`counters`].
@@ -122,7 +118,6 @@ pub struct SpanGuard {
     start_ns: u64,
     depth: u32,
     args: Vec<(String, String)>,
-    pid_tid: Option<(u32, u32)>,
     live: bool,
 }
 
@@ -134,7 +129,6 @@ impl SpanGuard {
             start_ns: 0,
             depth: 0,
             args: Vec::new(),
-            pid_tid: None,
             live: false,
         }
     }
@@ -143,17 +137,6 @@ impl SpanGuard {
     pub fn arg(&mut self, key: impl Into<String>, value: impl ToString) -> &mut Self {
         if self.live {
             self.args.push((key.into(), value.to_string()));
-        }
-        self
-    }
-
-    /// Pin this span's track to an explicit Chrome-trace `(pid, tid)`.
-    /// [`trace::chrome_trace`] gives the whole track that id (taking it from
-    /// the first pinned span it sees), so a worker pool can render one named
-    /// track per worker instead of the default per-stage numbering.
-    pub fn pid_tid(&mut self, pid: u32, tid: u32) -> &mut Self {
-        if self.live {
-            self.pid_tid = Some((pid, tid));
         }
         self
     }
@@ -175,7 +158,6 @@ impl Drop for SpanGuard {
             dur_ns: end.saturating_sub(self.start_ns),
             depth: self.depth,
             args: std::mem::take(&mut self.args),
-            pid_tid: self.pid_tid,
         };
         if let Ok(mut sink) = SINK.lock() {
             sink.spans.push(record);
@@ -207,7 +189,6 @@ pub fn span_in(track: impl Into<String>, name: impl Into<String>) -> SpanGuard {
         start_ns: now_ns(),
         depth,
         args: Vec::new(),
-        pid_tid: None,
         live: true,
     }
 }

@@ -21,30 +21,22 @@ pub struct CounterPoint {
     pub ts_ns: u64,
     /// `(series, value)` pairs plotted together on this track.
     pub series: Vec<(String, u64)>,
-    /// Explicit `(pid, tid)`; `None` places the counter on pid 1, tid 0
-    /// (counters are process-scoped in the viewer, the tid is cosmetic).
-    pub pid_tid: Option<(u32, u32)>,
 }
 
 /// Serialize spans as a Chrome trace-event JSON document.
 ///
-/// By default tracks are assigned `pid` 1 and thread ids in order of first
-/// appearance. A track whose spans carry an explicit
-/// [`SpanRecord::pid_tid`] (see [`crate::SpanGuard::pid_tid`]) uses that id
-/// instead — the first pinned span seen wins for the whole track — which is
-/// how pass-pipeline worker threads each get their own named row. Each
-/// distinct `(pid, tid)` gets exactly one `thread_name` metadata record (the
-/// first track claiming the id names it), so viewers show stage/worker
-/// names instead of numeric tids without duplicate metadata when several
-/// tracks share an id. Timestamps are microseconds with nanosecond
-/// precision kept in the fraction.
+/// Tracks are assigned `pid` 1 and thread ids 1, 2, … in order of first
+/// appearance, each with one `thread_name` metadata record so viewers show
+/// stage names instead of numeric tids. Timestamps are microseconds with
+/// nanosecond precision kept in the fraction.
 pub fn chrome_trace(spans: &[SpanRecord]) -> String {
     chrome_trace_with_counters(spans, &[])
 }
 
 /// [`chrome_trace`] plus counter (`"ph":"C"`) events appended after the
-/// span events, sorted by timestamp then input order. Series values are
-/// emitted in the order given on each [`CounterPoint`].
+/// span events, sorted by timestamp then input order, on pid 1, tid 0
+/// (counters are process-scoped in the viewer). Series values are emitted
+/// in the order given on each [`CounterPoint`].
 pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint]) -> String {
     let mut tracks: Vec<&str> = Vec::new();
     for s in spans {
@@ -52,29 +44,13 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
             tracks.push(&s.track);
         }
     }
-    let ids: Vec<(u32, u32)> = tracks
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            spans
-                .iter()
-                .find_map(|s| (s.track == **t).then_some(s.pid_tid).flatten())
-                .unwrap_or((1, i as u32 + 1))
-        })
-        .collect();
-    let id_of = |track: &str| ids[tracks.iter().position(|t| *t == track).unwrap()];
+    let tid_of = |track: &str| tracks.iter().position(|t| *t == track).unwrap() + 1;
 
     let mut events: Vec<String> = Vec::new();
-    // One thread_name record per (pid, tid): the first track claiming an id
-    // names it; later tracks resolving to the same id emit no duplicate.
-    let mut named: Vec<(u32, u32)> = Vec::new();
-    for (t, &(pid, tid)) in tracks.iter().zip(&ids) {
-        if named.contains(&(pid, tid)) {
-            continue;
-        }
-        named.push((pid, tid));
+    for (i, t) in tracks.iter().enumerate() {
         events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
+            r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{},"args":{{"name":"{}"}}}}"#,
+            i + 1,
             escape(t)
         ));
     }
@@ -90,9 +66,9 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
             }
             args.push_str(&format!(r#""{}":"{}""#, escape(k), escape(v)));
         }
-        let (pid, tid) = id_of(&s.track);
+        let tid = tid_of(&s.track);
         events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{:.3},"dur":{:.3},"pid":{pid},"tid":{tid},"args":{{{}}}}}"#,
+            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":{tid},"args":{{{}}}}}"#,
             escape(&s.name),
             escape(&s.track),
             s.start_ns as f64 / 1e3,
@@ -104,7 +80,6 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
     let mut ordered_counters: Vec<&CounterPoint> = counters.iter().collect();
     ordered_counters.sort_by_key(|c| c.ts_ns);
     for c in ordered_counters {
-        let (pid, tid) = c.pid_tid.unwrap_or((1, 0));
         let mut args = String::new();
         for (k, v) in &c.series {
             if !args.is_empty() {
@@ -113,7 +88,7 @@ pub fn chrome_trace_with_counters(spans: &[SpanRecord], counters: &[CounterPoint
             args.push_str(&format!(r#""{}":{v}"#, escape(k)));
         }
         events.push(format!(
-            r#"{{"name":"{}","ph":"C","ts":{:.3},"pid":{pid},"tid":{tid},"args":{{{}}}}}"#,
+            r#"{{"name":"{}","ph":"C","ts":{:.3},"pid":1,"tid":0,"args":{{{}}}}}"#,
             escape(&c.track),
             c.ts_ns as f64 / 1e3,
             args
@@ -139,7 +114,6 @@ mod tests {
             dur_ns,
             depth: 0,
             args: vec![("k".into(), "v\"1".into())],
-            pid_tid: None,
         }
     }
 
@@ -195,8 +169,7 @@ mod tests {
 
     #[test]
     fn default_tracks_keep_sequential_tids() {
-        // Regression: with no explicit ids the old one-track-per-stage
-        // numbering (pid 1, tids 1..) must be preserved exactly.
+        // One track per stage: pid 1, tids 1.. in order of first appearance.
         let spans = vec![
             record("parse", "parse file", 0, 1_000),
             record("opt", "pass cse", 2_000, 500),
@@ -225,68 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_pid_tid_pins_the_whole_track() {
-        let mut w0 = record("worker 0", "@gemm pipeline", 0, 900);
-        w0.pid_tid = Some((1, 1001));
-        // A nested pass span on the same track without an explicit id still
-        // inherits the worker's pinned tid.
-        let inner = record("worker 0", "pass hir-cse", 100, 200);
-        let auto = record("opt", "pass fold", 2_000, 100);
-        let text = chrome_trace(&[w0, inner, auto]);
-        let doc = json::parse(&text).expect("valid JSON");
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        let span_events: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
-            .collect();
-        let tid_of = |name: &str| {
-            span_events
-                .iter()
-                .find(|e| e.get("name").unwrap().as_str() == Some(name))
-                .unwrap()
-                .get("tid")
-                .unwrap()
-                .as_f64()
-                .unwrap()
-        };
-        assert_eq!(tid_of("@gemm pipeline"), 1001.0);
-        assert_eq!(tid_of("pass hir-cse"), 1001.0);
-        assert_eq!(tid_of("pass fold"), 2.0, "auto track keeps its position");
-        // The worker track's thread_name metadata carries the pinned tid.
-        let meta = events
-            .iter()
-            .find(|e| {
-                e.get("ph").and_then(|p| p.as_str()) == Some("M")
-                    && e.get("args").and_then(|a| a.get("name")).unwrap().as_str()
-                        == Some("worker 0")
-            })
-            .unwrap();
-        assert_eq!(meta.get("tid").unwrap().as_f64(), Some(1001.0));
-    }
-
-    #[test]
-    fn shared_pid_tid_emits_metadata_once() {
-        // Two distinct tracks pinned to the same (pid, tid): only the first
-        // names the thread; no duplicate thread_name records.
-        let mut a = record("worker 0", "@a pipeline", 0, 100);
-        a.pid_tid = Some((1, 7));
-        let mut b = record("worker 0 (retry)", "@b pipeline", 200, 100);
-        b.pid_tid = Some((1, 7));
-        let text = chrome_trace(&[a, b]);
-        let doc = json::parse(&text).expect("valid JSON");
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
-        let metas: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("M"))
-            .collect();
-        assert_eq!(metas.len(), 1, "one metadata record per (pid,tid)");
-        assert_eq!(
-            metas[0].get("args").unwrap().get("name").unwrap().as_str(),
-            Some("worker 0")
-        );
-    }
-
-    #[test]
     fn counter_events_parse_and_sort_by_time() {
         let spans = vec![record("sim", "run", 0, 10_000)];
         let counters = vec![
@@ -294,13 +205,11 @@ mod tests {
                 track: "sched/dirty".into(),
                 ts_ns: 4_000,
                 series: vec![("cones".into(), 3)],
-                pid_tid: None,
             },
             CounterPoint {
                 track: "sched/dirty".into(),
                 ts_ns: 1_000,
                 series: vec![("cones".into(), 5)],
-                pid_tid: None,
             },
         ];
         let text = chrome_trace_with_counters(&spans, &counters);

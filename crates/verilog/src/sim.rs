@@ -5492,7 +5492,6 @@ impl Simulator {
                             ("start_cycle".to_string(), s.to_string()),
                             ("cycles".to_string(), (e - s).to_string()),
                         ],
-                        pid_tid: None,
                     });
                 };
                 for (s, e) in intervals {
@@ -5520,7 +5519,6 @@ impl Simulator {
                     track: "sched/dirty_cones".to_string(),
                     ts_ns: i as u64 * 1000,
                     series: vec![("dirty".to_string(), u64::from(v))],
-                    pid_tid: None,
                 })
                 .collect(),
             None => Vec::new(),

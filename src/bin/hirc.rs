@@ -28,11 +28,6 @@ const USAGE: &str = "usage: hirc <input.mlir> [options]
 options:
   --opt                    run the standard optimization pipeline
   --pipeline=a,b,c         run an explicit comma-separated pass pipeline
-  --threads=N              worker threads for the per-function pass pipeline
-                           and schedule verification: a positive integer or
-                           'max' (all cores). Default: HIRC_THREADS if set
-                           to a positive integer, else all available cores.
-                           Output is byte-identical at every thread count.
   --verify-only            stop after verification
   --verify-each            re-verify the module after every pass
   --crash-reproducer=PATH  on pass panic or verifier failure, write an
@@ -78,7 +73,7 @@ options:
                            compares). Human summary on stderr, or strict JSON
                            to FILE. A pure observer: results, VCD, and
                            telemetry are unchanged, and the JSON is
-                           byte-identical across runs and --threads values
+                           byte-identical across runs
   --verify-equiv[=K]       translation validation: bounded-model-check that
                            the optimized module is observably equivalent to
                            the pre-optimization module for K cycles
@@ -144,7 +139,6 @@ struct Options {
     emit: String,
     optimize: bool,
     pipeline: Option<Vec<String>>,
-    threads: usize,
     verify_only: bool,
     verify_each: bool,
     crash_reproducer: Option<String>,
@@ -201,7 +195,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         emit: "verilog".into(),
         optimize: false,
         pipeline: None,
-        threads: 0, // 0 = auto (HIRC_THREADS, then available cores)
         verify_only: false,
         verify_each: false,
         crash_reproducer: None,
@@ -258,22 +251,6 @@ fn parse_args() -> Result<Option<Options>, String> {
                     return Err("--pipeline needs at least one pass name".into());
                 }
                 opts.pipeline = Some(names);
-            }
-            _ if a.starts_with("--threads=") => {
-                let n = &a["--threads=".len()..];
-                opts.threads = if n == "max" {
-                    std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1)
-                } else {
-                    let v = n.parse::<usize>().map_err(|_| {
-                        format!("--threads needs a positive integer or 'max', got '{n}'")
-                    })?;
-                    if v == 0 {
-                        return Err("--threads must be at least 1 (or 'max')".into());
-                    }
-                    v
-                };
             }
             _ if a.starts_with("--crash-reproducer=") => {
                 let path = &a["--crash-reproducer=".len()..];
@@ -591,7 +568,7 @@ fn main() -> ExitCode {
     let verify_failed = {
         let _s = obs::span_in("verify", "verify module");
         ir::verify_module(&module, &registry, &mut diags).is_err()
-            || hir_verify::verify_schedule_with_threads(&module, &mut diags, opts.threads).is_err()
+            || hir_verify::verify_schedule(&module, &mut diags).is_err()
     };
     if verify_failed {
         eprintln!("{}", diags.render());
@@ -600,46 +577,28 @@ fn main() -> ExitCode {
     let t_verify = t0.elapsed();
 
     // Pipeline selection: an explicit --pipeline wins, then a reproducer's
-    // recorded pipeline, then the standard pipeline under --opt. The passes
-    // run through the per-function parallel pipeline unless --print-ir-*-all
-    // asks for the serial pass manager's instrumentation hooks.
+    // recorded pipeline, then the standard pipeline under --opt.
     let explicit = opts.pipeline.clone().or(reproducer_pipeline);
     let run_passes = opts.optimize || explicit.is_some();
-    let serial = opts.print_ir_before_all || opts.print_ir_after_all;
     let t0 = std::time::Instant::now();
-    let mut pipeline = if serial {
-        let mut pm = match &explicit {
-            Some(names) => match hir_opt::pipeline_from_names(names) {
-                Ok(pm) => pm,
-                Err(e) => {
-                    eprintln!("hirc: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            None => hir_opt::standard_pipeline(),
-        };
-        pm.verify_each = opts.verify_each;
-        pm.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
-        pm.add_instrumentation(ir::IrPrintInstrumentation::to_stderr(
+    let mut pipeline = match &explicit {
+        Some(names) => match hir_opt::pipeline_from_names(names) {
+            Ok(pm) => pm,
+            Err(e) => {
+                eprintln!("hirc: {e}");
+                return ExitCode::from(EXIT_USAGE);
+            }
+        },
+        None => hir_opt::standard_pipeline(),
+    };
+    pipeline.verify_each = opts.verify_each;
+    pipeline.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
+    if opts.print_ir_before_all || opts.print_ir_after_all {
+        pipeline.add_instrumentation(ir::IrPrintInstrumentation::to_stderr(
             opts.print_ir_before_all,
             opts.print_ir_after_all,
         ));
-        Pipeline::Serial(pm)
-    } else {
-        let mut fp = match &explicit {
-            Some(names) => match hir_opt::function_pipeline_from_names(names, opts.threads) {
-                Ok(fp) => fp,
-                Err(e) => {
-                    eprintln!("hirc: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            None => hir_opt::standard_function_pipeline(opts.threads),
-        };
-        fp.verify_each = opts.verify_each;
-        fp.crash_reproducer = opts.crash_reproducer.clone().map(Into::into);
-        Pipeline::PerFunction(fp)
-    };
+    }
     // Snapshot for translation validation: the proof must compare the exact
     // pre-pipeline module against the exact artifact being emitted.
     let pre_opt = opts.verify_equiv.map(|_| module.clone());
@@ -666,7 +625,7 @@ fn main() -> ExitCode {
         }
         // Re-verify: passes must preserve schedule validity.
         let mut diags = ir::DiagnosticEngine::new();
-        if hir_verify::verify_schedule_with_threads(&module, &mut diags, opts.threads).is_err() {
+        if hir_verify::verify_schedule(&module, &mut diags).is_err() {
             eprintln!("hirc: internal error — optimized module fails verification:");
             eprintln!("{}", diags.render());
             return ExitCode::from(EXIT_INTERNAL);
@@ -692,8 +651,8 @@ fn main() -> ExitCode {
     }
 
     // Optimization remarks: stream as JSONL and/or echo the passes the user
-    // asked about. The pipeline merged per-function remarks in module order,
-    // so both outputs are byte-identical at every --threads value.
+    // asked about. Remarks come in pass order, then op order, so both
+    // outputs are byte-identical run to run.
     if opts.remarks.is_some() || opts.rpass.is_some() {
         let remarks = pipeline.take_remarks();
         if let Some(path) = &opts.remarks {
@@ -880,56 +839,6 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_DIAGNOSTICS);
     }
     finish(&opts, t_parse, t_verify, t_opt, t_emit, &pipeline)
-}
-
-/// The driver's pass-running strategy: the serial [`ir::PassManager`] when
-/// `--print-ir-*-all` instrumentation is requested, otherwise the parallel
-/// per-function [`ir::FunctionPipeline`].
-enum Pipeline {
-    Serial(ir::PassManager),
-    PerFunction(ir::FunctionPipeline),
-}
-
-impl Pipeline {
-    fn run(
-        &mut self,
-        module: &mut ir::Module,
-        registry: &ir::DialectRegistry,
-        diags: &mut ir::DiagnosticEngine,
-    ) -> Result<(), ir::PipelineError> {
-        match self {
-            Pipeline::Serial(pm) => pm.run(module, registry, diags),
-            Pipeline::PerFunction(fp) => fp.run(module, registry, diags),
-        }
-    }
-
-    fn reproducer_path(&self) -> Option<&std::path::Path> {
-        match self {
-            Pipeline::Serial(pm) => pm.reproducer_path(),
-            Pipeline::PerFunction(fp) => fp.reproducer_path(),
-        }
-    }
-
-    fn timings_empty(&self) -> bool {
-        match self {
-            Pipeline::Serial(pm) => pm.timings().is_empty(),
-            Pipeline::PerFunction(fp) => fp.timings().is_empty(),
-        }
-    }
-
-    fn timing_report(&self) -> String {
-        match self {
-            Pipeline::Serial(pm) => pm.timing_report(),
-            Pipeline::PerFunction(fp) => fp.timing_report(),
-        }
-    }
-
-    fn take_remarks(&mut self) -> Vec<obs::Remark> {
-        match self {
-            Pipeline::Serial(pm) => pm.take_remarks(),
-            Pipeline::PerFunction(fp) => fp.take_remarks(),
-        }
-    }
 }
 
 /// Recover an [`ir::Location`] from a remark's rendered `file:line:col`
@@ -1200,7 +1109,7 @@ fn run_sim(
     let name = func.name(module);
     // Deterministic stimulus: scalars count up from 3 in steps of 3, and
     // memories hold a small repeating ramp, so waveforms and results are
-    // byte-identical across runs and thread counts.
+    // byte-identical across runs.
     let mut args = Vec::new();
     for (i, v) in func.args(module).iter().enumerate() {
         let ty = module.value_type(*v);
@@ -1329,13 +1238,13 @@ fn finish(
     t_verify: std::time::Duration,
     t_opt: std::time::Duration,
     t_emit: std::time::Duration,
-    pipeline: &Pipeline,
+    pipeline: &ir::PassManager,
 ) -> ExitCode {
     if opts.timing {
         eprintln!(
             "hirc timing: parse {t_parse:?}, verify {t_verify:?}, optimize {t_opt:?}, emit {t_emit:?}"
         );
-        if !pipeline.timings_empty() {
+        if !pipeline.timings().is_empty() {
             eprint!("{}", pipeline.timing_report());
         }
     }

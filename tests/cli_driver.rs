@@ -275,36 +275,30 @@ fn checked_in_example_mlir_files_compile() {
 }
 
 #[test]
-fn threads_flag_is_byte_identical_across_counts() {
-    // The multi-kernel example has four functions; compiling it at any
-    // worker count must produce byte-identical output on both streams.
+fn compile_is_byte_identical_across_runs() {
+    // The multi-kernel example has four functions; two identical compiles
+    // must produce byte-identical output on both streams.
     let root = env!("CARGO_MANIFEST_DIR");
     let input = format!("{root}/examples/multi_kernel.mlir");
-    let run = |threads: &str| {
+    let run = || {
         let out = hirc()
             .arg(&input)
             .arg("--opt")
             .arg("--verify-each")
             .arg("--emit=ir")
-            .arg(format!("--threads={threads}"))
             .output()
             .unwrap();
         assert!(
             out.status.success(),
-            "--threads={threads}: {}",
+            "{}",
             String::from_utf8_lossy(&out.stderr)
         );
         (out.stdout, out.stderr)
     };
-    let base = run("1");
-    for threads in ["2", "4", "max"] {
-        assert_eq!(run(threads), base, "--threads={threads} diverged");
-    }
+    assert_eq!(run(), run(), "two identical runs diverged");
 
-    // Bad values are usage errors.
-    let out = hirc().arg(&input).arg("--threads=0").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = hirc().arg(&input).arg("--threads=lots").output().unwrap();
+    // The pass pipeline is serial; --threads is no longer a flag.
+    let out = hirc().arg(&input).arg("--threads=2").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
 
@@ -385,19 +379,20 @@ fn panicking_pass_writes_reproducer_that_retriggers_the_crash() {
     assert!(err.contains("pass 'test-panic' panicked"), "{err}");
     assert!(err.contains("crash reproducer written"), "{err}");
 
-    // ...and the reproducer file records the failing function's
-    // pre-pipeline IR plus the full pipeline (the snapshot is taken before
-    // any pass runs on that function, so the whole pipeline replays).
+    // ...and the reproducer file records the IR the panicking pass saw
+    // plus the rest of the pipeline from that pass on.
     let text = std::fs::read_to_string(&repro).unwrap();
     let parsed = ir::parse_reproducer(&text).expect("reproducer header");
-    assert_eq!(
-        parsed.pipeline,
-        vec!["hir-cse", "test-panic", "hir-canonicalize"]
+    assert_eq!(parsed.pipeline, vec!["test-panic", "hir-canonicalize"]);
+    assert!(
+        parsed.error.contains("test-panic"),
+        "reproducer must name the panicking pass: {}",
+        parsed.error
     );
     assert!(
-        parsed.error.contains("function '@transpose'"),
-        "reproducer must name the failing function: {}",
-        parsed.error
+        parsed.ir.contains(r#"sym_name = "transpose""#),
+        "{}",
+        parsed.ir
     );
 
     // Feeding the reproducer back re-triggers the recorded crash (exit 3).
@@ -690,13 +685,12 @@ fn verify_equiv_sim_budget_exhaustion_is_a_diagnostic_not_a_pass() {
 }
 
 #[test]
-fn emit_btor2_matches_golden_across_thread_counts() {
+fn emit_btor2_matches_golden_across_runs() {
     let golden = include_str!("golden/mac.btor2");
-    let run = |threads: &str| {
+    let run = || {
         let out = hirc()
             .arg(example("mac.mlir"))
             .arg("--emit=btor2")
-            .arg(format!("--threads={threads}"))
             .output()
             .unwrap();
         assert!(
@@ -706,10 +700,9 @@ fn emit_btor2_matches_golden_across_thread_counts() {
         );
         String::from_utf8_lossy(&out.stdout).to_string()
     };
-    let t1 = run("1");
+    let t1 = run();
     assert_eq!(t1, golden, "BTOR2 drifted from tests/golden/mac.btor2");
-    assert_eq!(t1, run("4"), "BTOR2 must not depend on --threads");
-    assert_eq!(t1, run("1"), "BTOR2 must be byte-identical across runs");
+    assert_eq!(t1, run(), "BTOR2 must be byte-identical across runs");
 }
 
 #[test]
