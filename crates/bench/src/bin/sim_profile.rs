@@ -230,7 +230,7 @@ fn main() {
     let speedup_batched = bt.lane_cycles_per_s / bc.cycles_per_s;
     println!("speedup    bytecode/tree-walk {speedup:.1}x, event/bytecode {speedup_event:.1}x, batched lane-cycles/bytecode {speedup_batched:.1}x");
     // Telemetry slowdown (counters on vs off, same engine). Under the
-    // bytecode engine the counting interpreter replaces the plain tape loop;
+    // bytecode engine the tape runs under the per-pc counting observer;
     // under the event engine telemetry piggybacks on the dirty-set, so the
     // recorded overhead is the event-mode figure.
     let overhead_bc_pct = 100.0 * (1.0 - bct.cycles_per_s / bc.cycles_per_s);

@@ -253,8 +253,8 @@ mod tests {
             )
             .expect("simulate");
         let expect = reference(n, &cmds, &din);
-        for i in 0..n as usize {
-            if let Some(v) = expect[i] {
+        for (i, &e) in expect.iter().enumerate().take(n as usize) {
+            if let Some(v) = e {
                 assert_eq!(r.tensors[&2][i], Some(v), "dout[{i}]");
             }
         }

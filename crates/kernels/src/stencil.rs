@@ -244,8 +244,8 @@ mod tests {
             )
             .expect("simulate");
         let expect = reference(n, &input);
-        for i in 0..n as usize {
-            assert_eq!(r.tensors[&1][i], Some(expect[i]), "B[{i}]");
+        for (i, &e) in expect.iter().enumerate().take(n as usize) {
+            assert_eq!(r.tensors[&1][i], Some(e), "B[{i}]");
         }
         // Pipelined at II=1: latency ~ n + constant.
         assert!(r.cycles <= n + 8, "not pipelined: {} cycles", r.cycles);
@@ -269,8 +269,8 @@ mod tests {
             )
             .expect("simulate");
         let expect = reference(n, &reference(n, &input));
-        for i in 2..(n - 2) as usize {
-            assert_eq!(r.tensors[&1][i], Some(expect[i]), "B[{i}]");
+        for (i, &e) in expect.iter().enumerate().take((n - 2) as usize).skip(2) {
+            assert_eq!(r.tensors[&1][i], Some(e), "B[{i}]");
         }
         // Overlap: far less than 2x the single-stage latency.
         assert!(
@@ -296,8 +296,8 @@ mod tests {
             )
             .expect("simulate");
         let expect = reference(n, &input);
-        for i in 1..(n - 1) as usize {
-            assert_eq!(r.tensors[&1][i], Some(expect[i]), "B[{i}]");
+        for (i, &e) in expect.iter().enumerate().take((n - 1) as usize).skip(1) {
+            assert_eq!(r.tensors[&1][i], Some(e), "B[{i}]");
         }
     }
 }

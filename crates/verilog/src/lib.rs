@@ -30,6 +30,7 @@
 
 pub mod ast;
 pub mod elaborate;
+mod interp;
 pub mod printer;
 pub mod sim;
 pub mod tsys;

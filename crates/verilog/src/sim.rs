@@ -9,9 +9,26 @@
 
 use crate::ast::*;
 use crate::elaborate::{flatten, ElabError};
+use crate::interp::{
+    run_lanes, run_scalar, Commit, LaneCommit, LaneList, Lanes, NetList, NoObs, Observer, PerPc,
+    Scalar, Totals,
+};
 use obs::json::escape as json_escape;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+
+/// The simulator's scalar state (`regs`, `values`, `memories` of `$sim`) as
+/// an interpreter domain with effects `$fx`.
+macro_rules! scalar {
+    ($sim:ident, $fx:expr) => {
+        Scalar {
+            regs: &mut $sim.regs,
+            values: &mut $sim.values,
+            memories: &$sim.memories,
+            fx: $fx,
+        }
+    };
+}
 
 /// A runtime simulation failure (a fired assertion or an engine limit).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,8 +171,8 @@ enum CStmt {
 /// `Bytecode` is the default: the design is lowered once into flat
 /// register-machine tapes and each cycle is a linear sweep with no
 /// allocation and no recursion. `TreeWalk` is the original recursive
-/// evaluator, kept as a differential-testing oracle; building with the
-/// `treewalk-sim` feature makes it the default instead.
+/// evaluator, kept as a differential-testing oracle: an independent
+/// semantics the tape interpreter (`interp.rs`) is checked against.
 ///
 /// `Event` turns the static union-find cone partition into the scheduler:
 /// each settle/step cone executes as a slice of the same tapes, activated
@@ -164,28 +181,20 @@ enum CStmt {
 /// same cone scheduling (see [`Simulator::set_batch_lanes`]); lane 0 is
 /// bit-identical to a scalar run. All engines produce byte-identical
 /// results, VCD, telemetry reports, and watchdog behavior.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
+    #[default]
     Bytecode,
     TreeWalk,
     Event,
     Batched,
 }
 
-impl Default for Engine {
-    fn default() -> Self {
-        if cfg!(feature = "treewalk-sim") {
-            Engine::TreeWalk
-        } else {
-            Engine::Bytecode
-        }
-    }
-}
-
-// One bytecode instruction. Operands name registers in a flat `u64` file;
-// every compiled expression node writes its own dedicated register before
-// any reader, so registers never need clearing between cycles. Constants
-// live in registers preloaded at build time.
+// One bytecode instruction, executed by [`crate::interp`]. Operands name
+// registers in a flat `u64` file; every compiled expression node writes its
+// own dedicated register before any reader, so registers never need
+// clearing between cycles. Constants live in registers preloaded at build
+// time.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Insn {
     /// regs[dst] = values[net]
@@ -245,10 +254,16 @@ pub(crate) enum Insn {
     },
     /// values[net] = regs[src] & m (settle tape: continuous assign)
     StoreNet { net: u32, src: u32, m: u64 },
-    /// pend_nets.push((net, regs[src])) (step tape: non-blocking assign)
-    EmitNet { net: u32, src: u32 },
-    /// pend_mems.push((mem, regs[addr], regs[src]))
-    EmitMem { mem: u32, addr: u32, src: u32 },
+    /// pend_nets.push((net, regs[src])) (step tape: non-blocking assign);
+    /// `m` is the net's width mask
+    EmitNet { net: u32, src: u32, m: u64 },
+    /// pend_mems.push((mem, regs[addr], regs[src])); `m` is the word mask
+    EmitMem {
+        mem: u32,
+        addr: u32,
+        src: u32,
+        m: u64,
+    },
     /// if regs[guard] != 0 && regs[cond] == 0 { fail with msgs[msg] }
     Assert { guard: u32, cond: u32, msg: u32 },
     /// pc = target
@@ -262,6 +277,9 @@ pub(crate) enum Insn {
 /// constant pool.
 #[derive(Default)]
 struct TapeBuilder {
+    /// Width masks of the nets and memories emits target.
+    net_mask: Vec<u64>,
+    mem_mask: Vec<u64>,
     insns: Vec<Insn>,
     next_reg: u32,
     /// Masked constant value -> preloaded register.
@@ -427,6 +445,7 @@ impl TapeBuilder {
                 self.insns.push(Insn::EmitNet {
                     net: *net as u32,
                     src,
+                    m: self.net_mask[*net],
                 });
             }
             CStmt::AssignMem { mem, addr, rhs } => {
@@ -436,6 +455,7 @@ impl TapeBuilder {
                     mem: *mem as u32,
                     addr,
                     src,
+                    m: self.mem_mask[*mem],
                 });
             }
             CStmt::If { cond, then, els } => {
@@ -835,8 +855,8 @@ pub struct Simulator {
     dirty: bool,
     vcd: Option<Vcd>,
     /// Opt-in telemetry plane (toggle counters, cone quiescence, per-insn
-    /// counters). `None` (the default) keeps the hot loop unperturbed: the
-    /// only cost is this Option check in `settle`/`step`.
+    /// counters). `None` (the default) runs the tapes under the zero-sized
+    /// [`NoObs`] observer, so the interpreter loop carries no counting.
     telemetry: Option<Box<Telemetry>>,
     /// Opt-in scheduler-statistics plane (self-profiling of the *engine*:
     /// dirty-set occupancy, commit-compare outcomes). Same zero-cost-when-
@@ -935,7 +955,11 @@ impl Simulator {
 
         // Lower both phases to bytecode. The tapes share one register file
         // and constant pool.
-        let mut tb = TapeBuilder::default();
+        let mut tb = TapeBuilder {
+            net_mask: sim.net_width.iter().map(|&w| mask(w)).collect(),
+            mem_mask: sim.mem_width.iter().map(|&w| mask(w)).collect(),
+            ..TapeBuilder::default()
+        };
         let mut settle_starts: Vec<u32> = Vec::with_capacity(sim.assigns.len());
         for (net, expr) in &sim.assigns {
             settle_starts.push(tb.insns.len() as u32);
@@ -970,8 +994,7 @@ impl Simulator {
         Ok(sim)
     }
 
-    /// Select the execution engine (defaults to [`Engine::Bytecode`], or
-    /// [`Engine::TreeWalk`] when built with the `treewalk-sim` feature).
+    /// Select the execution engine (defaults to [`Engine::Bytecode`]).
     /// All engines produce bit-identical results, VCD, and telemetry; the
     /// tree-walk evaluator exists as a differential-testing oracle.
     ///
@@ -1426,72 +1449,36 @@ impl Simulator {
     pub fn settle(&mut self) {
         // Two iterations would be needed only for stale memory reads; assigns
         // are topologically ordered so one pass suffices.
+        // Engines that do not run the scalar tapes count on a scratch run.
+        if matches!(self.engine, Engine::TreeWalk | Engine::Batched) {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.scratch.run(
+                    &self.settle_tape,
+                    &mut t.settle,
+                    &self.values,
+                    &self.memories,
+                    &self.msgs,
+                );
+            }
+        }
         match self.engine {
             Engine::Bytecode => {
                 let mut failure = None;
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    // The counting interpreter IS the executor here: it runs
-                    // the instrumented clone of the tape against the live
-                    // state, so results stay bit-identical.
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut self.pending_nets,
-                        &mut self.pending_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                } else {
-                    run_tape(
-                        &self.settle_tape,
-                        0,
-                        self.settle_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut self.pending_nets,
-                        &mut self.pending_mems,
-                        &mut failure,
-                    );
+                let fx = Commit {
+                    nets: &mut self.pending_nets,
+                    mems: &mut self.pending_mems,
+                    failure: &mut failure,
+                    msgs: &self.msgs,
+                };
+                let (tape, d) = (&self.settle_tape, &mut scalar!(self, fx));
+                match self.telemetry.as_deref_mut() {
+                    // The counting observer rides the live run, so results
+                    // stay bit-identical.
+                    Some(t) => run_scalar(tape, 0, tape.len(), d, &mut t.settle),
+                    None => run_scalar(tape, 0, tape.len(), d, &mut NoObs),
                 }
-                debug_assert!(failure.is_none(), "settle tape has no assertions");
             }
             Engine::TreeWalk => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    // Counts come from a scratch run of the same tape the
-                    // bytecode engine would execute, so both engines report
-                    // identical telemetry; the tree-walk below still drives
-                    // the real state.
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut failure = None;
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                }
                 for i in 0..self.assigns.len() {
                     let (net, expr) = (self.assigns[i].0, &self.assigns[i].1);
                     let v = eval(expr, &self.values, &self.memories);
@@ -1500,130 +1487,89 @@ impl Simulator {
             }
             Engine::Event => {
                 let mut ev = self.ev.take().expect("event state built on engine switch");
-                let telem = self.telemetry.is_some();
-                let mut exec_extra = 0u64;
-                let mut changed_extra = 0u64;
                 // Worklist to fixpoint. Units are dispatched in ascending
                 // index order, which is tape order, which is topological
                 // order — so a unit's readers always sit ahead of it and
                 // one in-order sweep converges; the outer loop guards that
                 // invariant (external pokes are the only way bits appear
                 // behind the cursor).
-                if !telem {
+                match self.telemetry.as_deref_mut() {
                     // Fast path: coalesced worklist sweep — consecutive
                     // pending units collapse into single interpreter calls
                     // (see `settle_sweep`).
-                    settle_sweep(
+                    None => settle_sweep(
                         &self.settle_tape,
                         &mut self.regs,
                         &mut self.values,
                         &self.memories,
                         &mut ev,
-                    );
-                } else {
-                    loop {
-                        let mut any = false;
-                        for w in 0..ev.settle_pending.len() {
-                            while ev.settle_pending[w] != 0 {
-                                let c = (w << 6) | ev.settle_pending[w].trailing_zeros() as usize;
-                                ev.settle_pending[w] &= ev.settle_pending[w] - 1;
-                                any = true;
-                                ev.stat_settle_runs += 1;
-                                if let Some(sc) = ev.sched.as_deref_mut() {
-                                    sc.settle_run_len.record(1);
-                                }
-                                ev.settle_ran[c] = true;
-                                ev.settle_stale[c] = true;
-                                // Unit c is settle chain c: one assign, one chain.
-                                {
+                    ),
+                    Some(t) => {
+                        loop {
+                            let mut any = false;
+                            for w in 0..ev.settle_pending.len() {
+                                while ev.settle_pending[w] != 0 {
+                                    let c =
+                                        (w << 6) | ev.settle_pending[w].trailing_zeros() as usize;
+                                    ev.settle_pending[w] &= ev.settle_pending[w] - 1;
+                                    any = true;
+                                    ev.stat_settle_runs += 1;
+                                    if let Some(sc) = ev.sched.as_deref_mut() {
+                                        sc.settle_run_len.record(1);
+                                    }
+                                    ev.settle_ran[c] = true;
+                                    ev.settle_stale[c] = true;
+                                    // Unit c is settle chain c: one assign, one chain.
                                     let (s, e) = ev.settle_chains[c];
                                     ev.stat_settle_insns += (e - s) as u64;
-                                    let (ex, ch) = run_settle_chain_counting(
-                                        &self.settle_tape,
+                                    let d = &mut scalar!(self, NetList(&mut ev.store_changed));
+                                    let tape = &self.settle_tape;
+                                    run_scalar(
+                                        tape,
                                         s as usize,
                                         e as usize,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &mut ev.store_changed,
+                                        d,
+                                        &mut t.settle_extra,
                                     );
-                                    exec_extra += ex;
-                                    changed_extra += ch;
+                                    let mut i = 0;
+                                    while i < ev.store_changed.len() {
+                                        let net = ev.store_changed[i] as usize;
+                                        i += 1;
+                                        ev.note_net_change(net, ALL_LANES);
+                                    }
+                                    ev.store_changed.clear();
                                 }
-                                let mut i = 0;
-                                while i < ev.store_changed.len() {
-                                    let net = ev.store_changed[i] as usize;
-                                    i += 1;
-                                    ev.note_net_change(net, ALL_LANES);
-                                }
-                                ev.store_changed.clear();
+                            }
+                            if !any {
+                                break;
                             }
                         }
-                        if !any {
-                            break;
+                        // Skipped cones still contribute the counts a
+                        // full-tape run would record: steady-state counts,
+                        // cached per cone and refreshed by one idempotent
+                        // live re-run after each execution.
+                        for c in 0..ev.settle_chains.len() {
+                            if ev.settle_ran[c] {
+                                ev.settle_ran[c] = false;
+                                continue;
+                            }
+                            if ev.settle_stale[c] {
+                                let (s, e) = ev.settle_chains[c];
+                                let mut steady = Totals::default();
+                                let d = &mut scalar!(self, NetList(&mut ev.store_changed));
+                                let tape = &self.settle_tape;
+                                run_scalar(tape, s as usize, e as usize, d, &mut steady);
+                                debug_assert!(ev.store_changed.is_empty());
+                                ev.settle_cache[c] = steady;
+                                ev.settle_stale[c] = false;
+                            }
+                            t.settle_extra += ev.settle_cache[c];
                         }
-                    }
-                }
-                if telem {
-                    // Skipped cones still contribute the counts a full-tape
-                    // run would record: steady-state counts, cached per
-                    // cone and refreshed by one idempotent live re-run
-                    // after each execution.
-                    for c in 0..ev.settle_chains.len() {
-                        if ev.settle_ran[c] {
-                            ev.settle_ran[c] = false;
-                            continue;
-                        }
-                        if ev.settle_stale[c] {
-                            let (s, e) = ev.settle_chains[c];
-                            let (ex_sum, ch_sum) = run_settle_chain_counting(
-                                &self.settle_tape,
-                                s as usize,
-                                e as usize,
-                                &mut self.regs,
-                                &mut self.values,
-                                &self.memories,
-                                &mut ev.store_changed,
-                            );
-                            debug_assert!(ev.store_changed.is_empty());
-                            ev.settle_cache[c] = (ex_sum, ch_sum);
-                            ev.settle_stale[c] = false;
-                        }
-                        exec_extra += ev.settle_cache[c].0;
-                        changed_extra += ev.settle_cache[c].1;
-                    }
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.settle_exec_extra += exec_extra;
-                        t.settle_changed_extra += changed_extra;
                     }
                 }
                 self.ev = Some(ev);
             }
             Engine::Batched => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    // Counts from a scratch full-tape run mirroring lane 0,
-                    // exactly as under the tree-walk oracle.
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut failure = None;
-                    run_tape_counting(
-                        &t.settle_tape,
-                        0,
-                        t.settle_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut failure,
-                        &mut t.settle_exec,
-                        &mut t.settle_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                }
                 let mut ev = self.ev.take().expect("event state built on engine switch");
                 let mut b = self
                     .batch
@@ -1649,17 +1595,11 @@ impl Simulator {
                         let s = ev.settle_chains[c0].0 as usize;
                         let e = ev.settle_chains[c1].1 as usize;
                         ev.stat_settle_insns += (e - s) as u64;
-                        run_settle_range_batched(
-                            &self.settle_tape,
-                            s,
-                            e,
-                            b.lanes,
-                            &mut b.regs,
-                            &mut b.values,
-                            &mut self.values,
-                            &b.mems,
-                            &mut ev.store_changed_lanes,
-                        );
+                        let fx = LaneList {
+                            mirror: &mut self.values,
+                            changed: &mut ev.store_changed_lanes,
+                        };
+                        run_lanes(&self.settle_tape, s, e, b.domain(ALL_LANES, fx));
                         let mut i = 0;
                         while i < ev.store_changed_lanes.len() {
                             let (net, lanes_mask) = ev.store_changed_lanes[i];
@@ -1718,63 +1658,40 @@ impl Simulator {
         net_updates.clear();
         mem_updates.clear();
         let mut failure: Option<String> = None;
+        // Engines that do not run the scalar tapes count on a scratch run.
+        if matches!(self.engine, Engine::TreeWalk | Engine::Batched) {
+            if let Some(t) = self.telemetry.as_deref_mut() {
+                t.scratch.run(
+                    &self.step_tape,
+                    &mut t.step,
+                    &self.values,
+                    &self.memories,
+                    &self.msgs,
+                );
+            }
+        }
+        // Step-tape pcs [s, e) on the scalar state, emitting into this
+        // step's pending buffers.
+        macro_rules! run_step {
+            ($s:expr, $e:expr, $obs:expr) => {{
+                let fx = Commit {
+                    nets: &mut net_updates,
+                    mems: &mut mem_updates,
+                    failure: &mut failure,
+                    msgs: &self.msgs,
+                };
+                run_scalar(&self.step_tape, $s, $e, &mut scalar!(self, fx), $obs);
+            }};
+        }
         match self.engine {
             Engine::Bytecode => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut net_updates,
-                        &mut mem_updates,
-                        &mut failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                } else {
-                    run_tape(
-                        &self.step_tape,
-                        0,
-                        self.step_tape.len(),
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut net_updates,
-                        &mut mem_updates,
-                        &mut failure,
-                    );
+                let n = self.step_tape.len();
+                match self.telemetry.as_deref_mut() {
+                    Some(t) => run_step!(0, n, &mut t.step),
+                    None => run_step!(0, n, &mut NoObs),
                 }
             }
             Engine::TreeWalk => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut scratch_failure = None;
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut scratch_failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                }
                 for i in 0..self.always.len() {
                     self.exec(
                         &self.always[i],
@@ -1786,139 +1703,24 @@ impl Simulator {
             }
             Engine::Event => {
                 let mut ev = self.ev.take().expect("event state built on engine switch");
-                let telem = self.telemetry.is_some();
-                if !telem {
-                    // Fast path: pop pending cones off the summary bitset in
-                    // tape order (quiescent cones cost ~1/64 load each) and
-                    // merge member chains that sit back-to-back in the tape
-                    // into one interpreter call. Step chains are independent
-                    // (non-blocking semantics: every write lands in the
-                    // pending-update buffers, not the live state), so the
-                    // merge never reorders an observable read after a write.
-                    let mut rs = usize::MAX;
-                    let mut re = 0usize;
-                    let mut run_chains = 0u64;
-                    for w in 0..ev.step_dirty.len() {
-                        while ev.step_dirty[w] != 0 {
-                            let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
-                            ev.step_dirty[w] &= ev.step_dirty[w] - 1;
-                            ev.step_pending[c] = 0;
-                            ev.stat_step_runs += 1;
-                            let (ms, me) = (
-                                ev.step_members_off[c] as usize,
-                                ev.step_members_off[c + 1] as usize,
-                            );
-                            for mi in ms..me {
-                                let chain = ev.step_members_flat[mi] as usize;
-                                let (s, e) = ev.step_chains[chain];
-                                ev.stat_step_insns += (e - s) as u64;
-                                let (s, e) = (s as usize, e as usize);
-                                if rs == usize::MAX {
-                                    (rs, re) = (s, e);
-                                    run_chains = 1;
-                                } else if s == re {
-                                    re = e;
-                                    run_chains += 1;
-                                } else {
-                                    run_tape(
-                                        &self.step_tape,
-                                        rs,
-                                        re,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                    );
-                                    if let Some(sc) = ev.sched.as_deref_mut() {
-                                        sc.step_run_len.record(run_chains);
-                                    }
-                                    (rs, re) = (s, e);
-                                    run_chains = 1;
-                                }
-                            }
-                        }
-                    }
-                    if rs != usize::MAX {
-                        run_tape(
-                            &self.step_tape,
-                            rs,
-                            re,
-                            &mut self.regs,
-                            &mut self.values,
-                            &self.memories,
-                            &self.msgs,
-                            &mut net_updates,
-                            &mut mem_updates,
-                            &mut failure,
-                        );
-                        if let Some(sc) = ev.sched.as_deref_mut() {
-                            sc.step_run_len.record(run_chains);
-                        }
-                    }
-                    self.ev = Some(ev);
-                    // Telemetry-instrumented dispatch below is skipped.
-                } else {
-                    for c in 0..(ev.step_members_off.len() - 1) {
-                        if ev.step_pending[c] != 0 {
-                            ev.step_pending[c] = 0;
-                            ev.stat_step_runs += 1;
-                            if telem {
-                                ev.step_stale[c] = true;
-                            }
-                            let (ms, me) = (
-                                ev.step_members_off[c] as usize,
-                                ev.step_members_off[c + 1] as usize,
-                            );
-                            for mi in ms..me {
-                                let chain = ev.step_members_flat[mi] as usize;
-                                let (s, e) = ev.step_chains[chain];
-                                ev.stat_step_insns += (e - s) as u64;
-                                if let Some(sc) = ev.sched.as_deref_mut() {
-                                    // Telemetry dispatch runs chains singly.
-                                    sc.step_run_len.record(1);
-                                }
-                                if let Some(t) = self.telemetry.as_deref_mut() {
-                                    let (ex, ch) = run_step_chain_counting(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                        &t.net_masks,
-                                        &t.mem_masks,
-                                    );
-                                    t.step_exec_extra += ex;
-                                    t.step_changed_extra += ch;
-                                } else {
-                                    run_tape(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        &mut self.regs,
-                                        &mut self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut net_updates,
-                                        &mut mem_updates,
-                                        &mut failure,
-                                    );
-                                }
-                            }
-                        } else if telem {
-                            if ev.step_stale[c] {
-                                // Refresh the steady counts with one idempotent
-                                // re-run on the live state (inputs unchanged):
-                                // emissions go to scratch buffers.
-                                let mut ex_sum = 0u64;
-                                let mut ch_sum = 0u64;
+                match self.telemetry.as_deref_mut() {
+                    None => {
+                        // Fast path: pop pending cones off the summary bitset in
+                        // tape order (quiescent cones cost ~1/64 load each) and
+                        // merge member chains that sit back-to-back in the tape
+                        // into one interpreter call. Step chains are independent
+                        // (non-blocking semantics: every write lands in the
+                        // pending-update buffers, not the live state), so the
+                        // merge never reorders an observable read after a write.
+                        let mut rs = usize::MAX;
+                        let mut re = 0usize;
+                        let mut run_chains = 0u64;
+                        for w in 0..ev.step_dirty.len() {
+                            while ev.step_dirty[w] != 0 {
+                                let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
+                                ev.step_dirty[w] &= ev.step_dirty[w] - 1;
+                                ev.step_pending[c] = 0;
+                                ev.stat_step_runs += 1;
                                 let (ms, me) = (
                                     ev.step_members_off[c] as usize,
                                     ev.step_members_off[c + 1] as usize,
@@ -1926,64 +1728,93 @@ impl Simulator {
                                 for mi in ms..me {
                                     let chain = ev.step_members_flat[mi] as usize;
                                     let (s, e) = ev.step_chains[chain];
-                                    let t = self.telemetry.as_deref_mut().expect("telem checked");
-                                    t.scratch_pend_nets.clear();
-                                    t.scratch_pend_mems.clear();
-                                    let mut scratch_failure = None;
-                                    let (ex, ch) = run_step_chain_counting(
+                                    ev.stat_step_insns += (e - s) as u64;
+                                    let (s, e) = (s as usize, e as usize);
+                                    if rs == usize::MAX {
+                                        (rs, re) = (s, e);
+                                        run_chains = 1;
+                                    } else if s == re {
+                                        re = e;
+                                        run_chains += 1;
+                                    } else {
+                                        run_step!(rs, re, &mut NoObs);
+                                        if let Some(sc) = ev.sched.as_deref_mut() {
+                                            sc.step_run_len.record(run_chains);
+                                        }
+                                        (rs, re) = (s, e);
+                                        run_chains = 1;
+                                    }
+                                }
+                            }
+                        }
+                        if rs != usize::MAX {
+                            run_step!(rs, re, &mut NoObs);
+                            if let Some(sc) = ev.sched.as_deref_mut() {
+                                sc.step_run_len.record(run_chains);
+                            }
+                        }
+                    }
+                    Some(t) => {
+                        for c in 0..(ev.step_members_off.len() - 1) {
+                            let (ms, me) = (
+                                ev.step_members_off[c] as usize,
+                                ev.step_members_off[c + 1] as usize,
+                            );
+                            if ev.step_pending[c] != 0 {
+                                ev.step_pending[c] = 0;
+                                ev.stat_step_runs += 1;
+                                ev.step_stale[c] = true;
+                                for mi in ms..me {
+                                    let chain = ev.step_members_flat[mi] as usize;
+                                    let (s, e) = ev.step_chains[chain];
+                                    ev.stat_step_insns += (e - s) as u64;
+                                    if let Some(sc) = ev.sched.as_deref_mut() {
+                                        // Telemetry dispatch runs chains singly.
+                                        sc.step_run_len.record(1);
+                                    }
+                                    run_step!(s as usize, e as usize, &mut t.step_extra);
+                                }
+                                continue;
+                            }
+                            if ev.step_stale[c] {
+                                // Refresh the steady counts with one idempotent
+                                // re-run on the live state (inputs unchanged):
+                                // emissions go to scratch buffers.
+                                let mut steady = Totals::default();
+                                for mi in ms..me {
+                                    let chain = ev.step_members_flat[mi] as usize;
+                                    let (s, e) = ev.step_chains[chain];
+                                    let sc = &mut t.scratch;
+                                    sc.pend_nets.clear();
+                                    sc.pend_mems.clear();
+                                    let fx = Commit {
+                                        nets: &mut sc.pend_nets,
+                                        mems: &mut sc.pend_mems,
+                                        failure: &mut None,
+                                        msgs: &self.msgs,
+                                    };
+                                    let d = &mut scalar!(self, fx);
+                                    run_scalar(
                                         &self.step_tape,
                                         s as usize,
                                         e as usize,
-                                        &mut self.regs,
-                                        &self.values,
-                                        &self.memories,
-                                        &self.msgs,
-                                        &mut t.scratch_pend_nets,
-                                        &mut t.scratch_pend_mems,
-                                        &mut scratch_failure,
-                                        &t.net_masks,
-                                        &t.mem_masks,
+                                        d,
+                                        &mut steady,
                                     );
-                                    ex_sum += ex;
-                                    ch_sum += ch;
                                 }
-                                ev.step_cache[c] = (ex_sum, ch_sum);
+                                ev.step_cache[c] = steady;
                                 ev.step_stale[c] = false;
                             }
-                            let t = self.telemetry.as_deref_mut().expect("telem checked");
-                            t.step_exec_extra += ev.step_cache[c].0;
-                            t.step_changed_extra += ev.step_cache[c].1;
+                            t.step_extra += ev.step_cache[c];
+                        }
+                        for w in &mut ev.step_dirty {
+                            *w = 0;
                         }
                     }
-                    for w in &mut ev.step_dirty {
-                        *w = 0;
-                    }
-                    self.ev = Some(ev);
                 }
+                self.ev = Some(ev);
             }
             Engine::Batched => {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.scratch_values.copy_from_slice(&self.values);
-                    t.scratch_pend_nets.clear();
-                    t.scratch_pend_mems.clear();
-                    let mut scratch_failure = None;
-                    run_tape_counting(
-                        &t.step_tape,
-                        0,
-                        t.step_tape.len(),
-                        &mut t.scratch_regs,
-                        &mut t.scratch_values,
-                        &self.memories,
-                        &self.msgs,
-                        &mut t.scratch_pend_nets,
-                        &mut t.scratch_pend_mems,
-                        &mut scratch_failure,
-                        &mut t.step_exec,
-                        &mut t.step_changed,
-                        &t.net_masks,
-                        &t.mem_masks,
-                    );
-                }
                 let mut ev = self.ev.take().expect("event state built on engine switch");
                 let mut b = self
                     .batch
@@ -2004,24 +1835,27 @@ impl Simulator {
                 macro_rules! flush_lanes {
                     () => {
                         if rs != usize::MAX {
-                            run_tape_lanes(
-                                &self.step_tape,
-                                rs,
-                                re,
-                                rmask,
-                                b.lanes,
-                                &mut b.regs,
-                                &b.values,
-                                &b.mems,
-                                &self.msgs,
-                                &mut net_updates,
-                                &mut mem_updates,
-                                &mut failure,
-                                &mut b.pend_nets,
-                                &mut b.pend_mems,
-                                &mut b.failures,
-                                &mut b.work,
-                            );
+                            let fx = LaneCommit {
+                                lane0: Commit {
+                                    nets: &mut net_updates,
+                                    mems: &mut mem_updates,
+                                    failure: &mut failure,
+                                    msgs: &self.msgs,
+                                },
+                                nets: &mut b.pend_nets,
+                                mems: &mut b.pend_mems,
+                                failures: &mut b.failures,
+                            };
+                            let d = Lanes {
+                                lanes: b.lanes,
+                                regs: &mut b.regs,
+                                values: &mut b.values,
+                                mems: &b.mems,
+                                mask: rmask,
+                                work: &mut b.work,
+                                fx,
+                            };
+                            run_lanes(&self.step_tape, rs, re, d);
                             if let Some(sc) = ev.sched.as_deref_mut() {
                                 sc.step_run_len.record(run_chains);
                             }
@@ -2497,7 +2331,7 @@ pub(crate) fn mask(width: u32) -> u64 {
     }
 }
 
-fn sign_extend(v: u64, width: u32) -> i128 {
+pub(crate) fn sign_extend(v: u64, width: u32) -> i128 {
     if width >= 64 {
         return v as i64 as i128;
     }
@@ -2569,9 +2403,9 @@ fn eval(e: &CExpr, values: &[u64], memories: &[Vec<u64>]) -> u64 {
 }
 
 /// Unmasked binary-op semantics, shared by the tree-walk evaluator and the
-/// bytecode executor so the two engines agree bit for bit by construction.
-#[inline]
-fn eval_binary(op: BinOp, a: u64, b: u64, aw: u32, bw: u32) -> u64 {
+/// tape interpreter so the two agree bit for bit by construction.
+#[inline(always)]
+pub(crate) fn eval_binary(op: BinOp, a: u64, b: u64, aw: u32, bw: u32) -> u64 {
     match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
@@ -2606,107 +2440,6 @@ fn eval_binary(op: BinOp, a: u64, b: u64, aw: u32, bw: u32) -> u64 {
         BinOp::ULt => u64::from(a < b),
         BinOp::ULe => u64::from(a <= b),
     }
-}
-
-/// Execute bytecode tape pcs `[start, end)`: a linear sweep over
-/// preallocated buffers with no recursion and no allocation (assertion
-/// failure aside). Jump targets are absolute pcs and never leave the range
-/// (ranges follow statement boundaries). Returns the number of instructions
-/// executed (branch-dependent for step chains; the event scheduler caches
-/// it per chain for exact telemetry on skipped cones).
-#[allow(clippy::too_many_arguments)]
-fn run_tape(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-) -> u64 {
-    let mut executed = 0u64;
-    let mut pc = start;
-    while pc < end {
-        executed += 1;
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => regs[dst as usize] = values[net as usize],
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                regs[dst as usize] = memories[mem as usize].get(a).copied().unwrap_or(0) & m;
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                regs[dst as usize] = (regs[src as usize] >> lo) & m;
-            }
-            Insn::Not { dst, src, m } => regs[dst as usize] = !regs[src as usize] & m,
-            Insn::LNot { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] == 0),
-            Insn::RedOr { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] != 0),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                regs[dst as usize] =
-                    eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m;
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                regs[dst as usize] = v & m;
-            }
-            Insn::ConcatFirst { dst, src, m } => regs[dst as usize] = regs[src as usize] & m,
-            Insn::ConcatPush { dst, src, shift, m } => {
-                regs[dst as usize] = (regs[dst as usize] << shift) | (regs[src as usize] & m);
-            }
-            Insn::MaskReg { dst, m } => regs[dst as usize] &= m,
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                regs[dst as usize] = (sign_extend(regs[src as usize] & fm, from) as u64) & m;
-            }
-            Insn::StoreNet { net, src, m } => values[net as usize] = regs[src as usize] & m,
-            Insn::EmitNet { net, src } => pend_nets.push((net, regs[src as usize])),
-            Insn::EmitMem { mem, addr, src } => {
-                pend_mems.push((mem, regs[addr as usize], regs[src as usize]));
-            }
-            Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                if regs[src as usize] == 0 {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-        }
-        pc += 1;
-    }
-    executed
 }
 
 fn count_mem_reads(e: &CExpr) -> u64 {
@@ -2874,17 +2607,18 @@ struct EventState {
     step_busy: Vec<bool>,
     /// Scratch: cones executed during the current settle call.
     settle_ran: Vec<bool>,
-    /// Per-cone steady-state (exec, changed) instruction counts: what the
-    /// full-tape counting interpreter would record for a quiescent cone.
+    /// Per-cone steady-state (exec, changed) instruction counts: what a
+    /// full-tape run under the [`PerPc`] observer would record for a
+    /// quiescent cone.
     /// Exact for skipped cones — with unchanged inputs a re-execution
     /// repeats the same path and register trajectory — so summing cache
     /// entries for skipped cones plus live counts for executed ones equals
     /// the bytecode engine's totals. A cache entry is stale after the cone
     /// executes (its next steady counts may differ) and is refreshed by
     /// one idempotent re-run on the live state.
-    settle_cache: Vec<(u64, u64)>,
+    settle_cache: Vec<Totals>,
     settle_stale: Vec<bool>,
-    step_cache: Vec<(u64, u64)>,
+    step_cache: Vec<Totals>,
     step_stale: Vec<bool>,
     /// Scheduler activity counters: cone executions (settle, step) since
     /// construction. Cheap enough to keep unconditionally; surfaced through
@@ -3001,7 +2735,13 @@ fn settle_sweep(
             let s = ev.settle_chains[c0].0 as usize;
             let e = ev.settle_chains[c1].1 as usize;
             ev.stat_settle_insns += (e - s) as u64;
-            run_settle_range(tape, s, e, regs, values, memories, &mut ev.store_changed);
+            let mut d = Scalar {
+                regs: &mut *regs,
+                values: &mut *values,
+                memories,
+                fx: NetList(&mut ev.store_changed),
+            };
+            run_scalar(tape, s, e, &mut d, &mut NoObs);
             let mut i = 0;
             while i < ev.store_changed.len() {
                 let net = ev.store_changed[i];
@@ -3102,9 +2842,9 @@ impl EventState {
             settle_busy: vec![false; settle_cones.len()],
             step_busy: vec![false; step_cones.len()],
             settle_ran: vec![false; n_assigns],
-            settle_cache: vec![(0, 0); n_assigns],
+            settle_cache: vec![Totals::default(); n_assigns],
             settle_stale: vec![true; n_assigns],
-            step_cache: vec![(0, 0); step_cones.len()],
+            step_cache: vec![Totals::default(); step_cones.len()],
             step_stale: vec![true; step_cones.len()],
             stat_settle_runs: 0,
             stat_step_runs: 0,
@@ -3328,308 +3068,6 @@ impl EventState {
     }
 }
 
-/// Execute settle-tape pcs `[start, end)` — pure ops plus `StoreNet`, no
-/// jumps. Like [`run_tape`], but every store compares-and-sets, pushing the
-/// ids of nets whose value actually changed into `changed_out`; that
-/// dirty-set is what drives the event scheduler.
-fn run_settle_range(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    changed_out: &mut Vec<u32>,
-) -> u64 {
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => regs[dst as usize] = values[net as usize],
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                regs[dst as usize] = memories[mem as usize].get(a).copied().unwrap_or(0) & m;
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                regs[dst as usize] = (regs[src as usize] >> lo) & m;
-            }
-            Insn::Not { dst, src, m } => regs[dst as usize] = !regs[src as usize] & m,
-            Insn::LNot { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] == 0),
-            Insn::RedOr { dst, src } => regs[dst as usize] = u64::from(regs[src as usize] != 0),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                regs[dst as usize] =
-                    eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m;
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                regs[dst as usize] = v & m;
-            }
-            Insn::ConcatFirst { dst, src, m } => regs[dst as usize] = regs[src as usize] & m,
-            Insn::ConcatPush { dst, src, shift, m } => {
-                regs[dst as usize] = (regs[dst as usize] << shift) | (regs[src as usize] & m);
-            }
-            Insn::MaskReg { dst, m } => regs[dst as usize] &= m,
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                regs[dst as usize] = (sign_extend(regs[src as usize] & fm, from) as u64) & m;
-            }
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                let n = net as usize;
-                if values[n] != v {
-                    values[n] = v;
-                    changed_out.push(net);
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
-        }
-    }
-    (end - start) as u64
-}
-
-/// Telemetry twin of [`run_settle_range`]: the counting interpreter is the
-/// executor (exactly as under the full-tape bytecode engine), returning
-/// aggregate `(executed, changed)` counts with the same per-destination
-/// change semantics as [`run_tape_counting`]. Also serves as the
-/// steady-count refresh for a quiescent cone: re-running with unchanged
-/// inputs is idempotent on registers and nets (no `changed_out` pushes)
-/// and measures what the bytecode engine would count this cycle.
-fn run_settle_chain_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    changed_out: &mut Vec<u32>,
-) -> (u64, u64) {
-    let mut n_changed = 0u64;
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                n_changed += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                let n = net as usize;
-                if values[n] != v {
-                    n_changed += 1;
-                    values[n] = v;
-                    changed_out.push(net);
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
-        }
-    }
-    ((end - start) as u64, n_changed)
-}
-
-/// Aggregate-counting twin of [`run_tape_counting`] over a pc range of the
-/// step tape: same change semantics, but totals instead of per-pc arrays.
-/// Used both as the executor for activated step cones (emissions go to the
-/// real pending buffers) and as the steady-count refresh for skipped ones
-/// (emissions to scratch buffers; register effects are idempotent because
-/// the cone's inputs are unchanged).
-#[allow(clippy::too_many_arguments)]
-fn run_step_chain_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-    net_masks: &[u64],
-    mem_masks: &[u64],
-) -> (u64, u64) {
-    let mut executed = 0u64;
-    let mut n_changed = 0u64;
-    let mut pc = start;
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                n_changed += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    while pc < end {
-        executed += 1;
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { .. } => {
-                debug_assert!(false, "step tape has no StoreNet");
-            }
-            Insn::EmitNet { net, src } => {
-                let v = regs[src as usize];
-                if (v & net_masks[net as usize]) != values[net as usize] {
-                    n_changed += 1;
-                }
-                pend_nets.push((net, v));
-            }
-            Insn::EmitMem { mem, addr, src } => {
-                let a = regs[addr as usize];
-                let v = regs[src as usize];
-                if let Some(&cur) = memories[mem as usize].get(a as usize) {
-                    if (v & mem_masks[mem as usize]) != cur {
-                        n_changed += 1;
-                    }
-                }
-                pend_mems.push((mem, a, v));
-            }
-            Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                if regs[src as usize] == 0 {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-        }
-        pc += 1;
-    }
-    (executed, n_changed)
-}
-
 // ----------------------------------------------- batched stimulus lanes
 
 /// Per-lane state for [`Engine::Batched`]: N independent 2-state stimulus
@@ -3653,8 +3091,8 @@ struct BatchState {
     pend_mems: Vec<Vec<(u32, u64, u64)>>,
     /// First assertion failure per lane this step.
     failures: Vec<Option<String>>,
-    /// Scratch worklist of `(pc, lane-mask)` segments for the SIMT step
-    /// interpreter (empty between steps).
+    /// Scratch worklist of parked `(pc, lane-mask)` paths for the lane
+    /// interpreter (empty between runs).
     work: Vec<(u32, u64)>,
     /// Commit scratch: per-net changed-lane mask plus the list of nets
     /// touched this cycle, so each changed net wakes its readers with
@@ -3690,680 +3128,28 @@ impl BatchState {
             note_mems: Vec::new(),
         })
     }
-}
 
-/// Vector twin of [`run_settle_range`]: evaluates every lane of each
-/// instruction in one contiguous lane-major sweep. Stores compare per
-/// lane, mirror lane 0 into the scalar `values`, and report
-/// `(net, changed-lane-mask)` pairs.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn run_settle_range_batched_body<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    let l = if L == 0 { lanes } else { L };
-    for insn in &tape[start..end] {
-        match *insn {
-            Insn::LoadNet { dst, net } => {
-                let (d, n) = (dst as usize * l, net as usize * l);
-                assert!(d + l <= regs.len() && n + l <= values.len());
-                regs[d..d + l].copy_from_slice(&values[n..n + l]);
-            }
-            Insn::MemRead { dst, mem, addr, m } => {
-                let (d, a) = (dst as usize * l, addr as usize * l);
-                let mm = &mems[mem as usize];
-                let depth = mm.len() / l;
-                assert!(d + l <= regs.len() && a + l <= regs.len());
-                for k in 0..l {
-                    let idx = regs[a + k] as usize;
-                    regs[d + k] = if idx < depth { mm[idx * l + k] & m } else { 0 };
-                }
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (regs[s + k] >> lo) & m;
-                }
-            }
-            Insn::Not { dst, src, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = !regs[s + k] & m;
-                }
-            }
-            Insn::LNot { dst, src } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = u64::from(regs[s + k] == 0);
-                }
-            }
-            Insn::RedOr { dst, src } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = u64::from(regs[s + k] != 0);
-                }
-            }
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                let (d, ra, rb) = (dst as usize * l, a as usize * l, b as usize * l);
-                binary_lanes_dense(op, regs, d, ra, rb, l, aw, bw, m);
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let (d, c, t, e) = (
-                    dst as usize * l,
-                    cond as usize * l,
-                    then as usize * l,
-                    els as usize * l,
-                );
-                assert!(
-                    d + l <= regs.len()
-                        && c + l <= regs.len()
-                        && t + l <= regs.len()
-                        && e + l <= regs.len()
-                );
-                for k in 0..l {
-                    let v = if regs[c + k] != 0 {
-                        regs[t + k]
-                    } else {
-                        regs[e + k]
-                    };
-                    regs[d + k] = v & m;
-                }
-            }
-            Insn::ConcatFirst { dst, src, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = regs[s + k] & m;
-                }
-            }
-            Insn::ConcatPush { dst, src, shift, m } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (regs[d + k] << shift) | (regs[s + k] & m);
-                }
-            }
-            Insn::MaskReg { dst, m } => {
-                let d = dst as usize * l;
-                assert!(d + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] &= m;
-                }
-            }
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                let (d, s) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && s + l <= regs.len());
-                for k in 0..l {
-                    regs[d + k] = (sign_extend(regs[s + k] & fm, from) as u64) & m;
-                }
-            }
-            Insn::StoreNet { net, src, m } => {
-                let (n, s) = (net as usize * l, src as usize * l);
-                assert!(n + l <= values.len() && s + l <= regs.len());
-                let mut mask_changed = 0u64;
-                for k in 0..l {
-                    let v = regs[s + k] & m;
-                    if values[n + k] != v {
-                        values[n + k] = v;
-                        mask_changed |= 1u64 << k;
-                    }
-                }
-                scalar_values[net as usize] = values[n];
-                if mask_changed != 0 {
-                    changed_out.push((net, mask_changed));
-                }
-            }
-            _ => debug_assert!(false, "settle tape holds only pure ops and StoreNet"),
+    /// The lane state as an interpreter domain running the lanes in `mask`
+    /// with effects `fx`.
+    fn domain<X>(&mut self, mask: u64, fx: X) -> Lanes<'_, X> {
+        Lanes {
+            lanes: self.lanes,
+            regs: &mut self.regs,
+            values: &mut self.values,
+            mems: &self.mems,
+            mask,
+            work: &mut self.work,
+            fx,
         }
-    }
-}
-
-/// [`run_settle_range_batched_body`] compiled with AVX2 enabled: the
-/// dense per-lane loops auto-vectorize to 256-bit ops. Safety: caller
-/// checked the CPU feature at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_settle_range_batched_avx2<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    run_settle_range_batched_body::<L>(
-        tape,
-        start,
-        end,
-        lanes,
-        regs,
-        values,
-        scalar_values,
-        mems,
-        changed_out,
-    )
-}
-
-/// Runtime-dispatching front end for the batched settle interpreter.
-/// Dispatches on the CPU's vector features and specializes the common
-/// lane counts so the per-lane loops get compile-time trip counts.
-#[allow(clippy::too_many_arguments)]
-fn run_settle_range_batched(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    scalar_values: &mut [u64],
-    mems: &[Vec<u64>],
-    changed_out: &mut Vec<(u32, u64)>,
-) {
-    macro_rules! go {
-        ($l:literal) => {{
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature checked above.
-                unsafe {
-                    return run_settle_range_batched_avx2::<$l>(
-                        tape,
-                        start,
-                        end,
-                        lanes,
-                        regs,
-                        values,
-                        scalar_values,
-                        mems,
-                        changed_out,
-                    );
-                }
-            }
-            run_settle_range_batched_body::<$l>(
-                tape,
-                start,
-                end,
-                lanes,
-                regs,
-                values,
-                scalar_values,
-                mems,
-                changed_out,
-            )
-        }};
-    }
-    match lanes {
-        64 => go!(64),
-        32 => go!(32),
-        16 => go!(16),
-        8 => go!(8),
-        _ => go!(0),
-    }
-}
-
-/// Dense-lane binary op: the operator match is hoisted out of the lane
-/// loop so each arm is a flat, auto-vectorizable sweep over the
-/// lane-major rows. Semantics are exactly [`eval_binary`] per lane.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn binary_lanes_dense(
-    op: BinOp,
-    regs: &mut [u64],
-    d: usize,
-    ra: usize,
-    rb: usize,
-    l: usize,
-    aw: u32,
-    bw: u32,
-    m: u64,
-) {
-    macro_rules! lane_op {
-        (|$a:ident, $b:ident| $e:expr) => {{
-            assert!(d + l <= regs.len() && ra + l <= regs.len() && rb + l <= regs.len());
-            for k in 0..l {
-                let $a = regs[ra + k];
-                let $b = regs[rb + k];
-                regs[d + k] = ($e) & m;
-            }
-        }};
-    }
-    match op {
-        BinOp::Add => lane_op!(|a, b| a.wrapping_add(b)),
-        BinOp::Sub => lane_op!(|a, b| a.wrapping_sub(b)),
-        BinOp::Mul => lane_op!(|a, b| a.wrapping_mul(b)),
-        BinOp::And => lane_op!(|a, b| a & b),
-        BinOp::Or => lane_op!(|a, b| a | b),
-        BinOp::Xor => lane_op!(|a, b| a ^ b),
-        BinOp::Shl => lane_op!(|a, b| if b >= 64 { 0 } else { a.wrapping_shl(b as u32) }),
-        BinOp::LShr => lane_op!(|a, b| if b >= 64 { 0 } else { a.wrapping_shr(b as u32) }),
-        BinOp::AShr => lane_op!(|a, b| (sign_extend(a, aw) >> b.min(127) as i32) as u64),
-        BinOp::Eq => lane_op!(|a, b| u64::from(a == b)),
-        BinOp::Ne => lane_op!(|a, b| u64::from(a != b)),
-        BinOp::SLt => lane_op!(|a, b| u64::from(sign_extend(a, aw) < sign_extend(b, bw))),
-        BinOp::SLe => lane_op!(|a, b| u64::from(sign_extend(a, aw) <= sign_extend(b, bw))),
-        BinOp::SGt => lane_op!(|a, b| u64::from(sign_extend(a, aw) > sign_extend(b, bw))),
-        BinOp::SGe => lane_op!(|a, b| u64::from(sign_extend(a, aw) >= sign_extend(b, bw))),
-        BinOp::ULt => lane_op!(|a, b| u64::from(a < b)),
-        BinOp::ULe => lane_op!(|a, b| u64::from(a <= b)),
-    }
-}
-
-/// Iterate the active lanes of `mask`: a dense loop when every lane is
-/// active (the auto-vectorizable common case) and a set-bit walk otherwise.
-#[inline(always)]
-fn for_lanes(mask: u64, lanes: usize, full: u64, mut f: impl FnMut(usize)) {
-    if mask == full {
-        for k in 0..lanes {
-            f(k);
-        }
-    } else {
-        let mut m = mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            f(k);
-        }
-    }
-}
-
-/// Decode-once twin of [`run_tape_lane`]: executes step-tape pcs
-/// `[start, end)` for every lane in `mask0` at once over the lane-major
-/// state. Control flow is SIMT-style — when a `JumpIfZero` condition
-/// differs across active lanes, the taken subset is parked on the `work`
-/// list and the fall-through subset continues; each lane still traverses
-/// its own path in tape order, so per-lane emission order and
-/// first-failure semantics match the one-lane-at-a-time interpreter
-/// exactly. Lane 0 emits into the scalar engine's buffers (`lane0_*`),
-/// other lanes into their per-lane buffers.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn run_tape_lanes_body<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
-    msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
-) {
-    let l = if L == 0 { lanes } else { L };
-    let full = if l >= 64 { u64::MAX } else { (1u64 << l) - 1 };
-    debug_assert!(work.is_empty());
-    let mut pc = start;
-    let mut mask = mask0 & full;
-    loop {
-        if mask == 0 || pc >= end {
-            match work.pop() {
-                Some((p, m)) => {
-                    pc = p as usize;
-                    mask = m;
-                    continue;
-                }
-                None => break,
-            }
-        }
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => {
-                let (d, n) = (dst as usize * l, net as usize * l);
-                assert!(d + l <= regs.len() && n + l <= values.len());
-                for_lanes(mask, l, full, |k| regs[d + k] = values[n + k]);
-            }
-            Insn::MemRead { dst, mem, addr, m } => {
-                let (d, a) = (dst as usize * l, addr as usize * l);
-                let mm = &mems[mem as usize];
-                let depth = mm.len() / l;
-                assert!(d + l <= regs.len() && a + l <= regs.len());
-                for_lanes(mask, l, full, |k| {
-                    let idx = regs[a + k] as usize;
-                    regs[d + k] = if idx < depth { mm[idx * l + k] & m } else { 0 };
-                });
-            }
-            Insn::Slice { dst, src, lo, m } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| regs[d + k] = (regs[sr + k] >> lo) & m);
-            }
-            Insn::Not { dst, src, m } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| regs[d + k] = !regs[sr + k] & m);
-            }
-            Insn::LNot { dst, src } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| {
-                    regs[d + k] = u64::from(regs[sr + k] == 0);
-                });
-            }
-            Insn::RedOr { dst, src } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| {
-                    regs[d + k] = u64::from(regs[sr + k] != 0);
-                });
-            }
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => {
-                let (d, ra, rb) = (dst as usize * l, a as usize * l, b as usize * l);
-                if mask == full {
-                    binary_lanes_dense(op, regs, d, ra, rb, l, aw, bw, m);
-                } else {
-                    let mut mm = mask;
-                    while mm != 0 {
-                        let k = mm.trailing_zeros() as usize;
-                        mm &= mm - 1;
-                        regs[d + k] = eval_binary(op, regs[ra + k], regs[rb + k], aw, bw) & m;
-                    }
-                }
-            }
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let (d, c, t, e) = (
-                    dst as usize * l,
-                    cond as usize * l,
-                    then as usize * l,
-                    els as usize * l,
-                );
-                assert!(
-                    d + l <= regs.len()
-                        && c + l <= regs.len()
-                        && t + l <= regs.len()
-                        && e + l <= regs.len()
-                );
-                for_lanes(mask, l, full, |k| {
-                    let v = if regs[c + k] != 0 {
-                        regs[t + k]
-                    } else {
-                        regs[e + k]
-                    };
-                    regs[d + k] = v & m;
-                });
-            }
-            Insn::ConcatFirst { dst, src, m } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| regs[d + k] = regs[sr + k] & m);
-            }
-            Insn::ConcatPush { dst, src, shift, m } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| {
-                    regs[d + k] = (regs[d + k] << shift) | (regs[sr + k] & m);
-                });
-            }
-            Insn::MaskReg { dst, m } => {
-                let d = dst as usize * l;
-                assert!(d + l <= regs.len());
-                for_lanes(mask, l, full, |k| regs[d + k] &= m);
-            }
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => {
-                let (d, sr) = (dst as usize * l, src as usize * l);
-                assert!(d + l <= regs.len() && sr + l <= regs.len());
-                for_lanes(mask, l, full, |k| {
-                    regs[d + k] = (sign_extend(regs[sr + k] & fm, from) as u64) & m;
-                });
-            }
-            Insn::StoreNet { .. } => {
-                debug_assert!(false, "step tape has no StoreNet");
-            }
-            Insn::EmitNet { net, src } => {
-                let sr = src as usize * l;
-                let mut m = mask;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if k == 0 {
-                        lane0_nets.push((net, regs[sr]));
-                    } else {
-                        pend_nets[k].push((net, regs[sr + k]));
-                    }
-                }
-            }
-            Insn::EmitMem { mem, addr, src } => {
-                let (a, sr) = (addr as usize * l, src as usize * l);
-                let mut m = mask;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if k == 0 {
-                        lane0_mems.push((mem, regs[a], regs[sr]));
-                    } else {
-                        pend_mems[k].push((mem, regs[a + k], regs[sr + k]));
-                    }
-                }
-            }
-            Insn::Assert { guard, cond, msg } => {
-                let (g, c) = (guard as usize * l, cond as usize * l);
-                let mut m = mask;
-                while m != 0 {
-                    let k = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if regs[g + k] != 0 && regs[c + k] == 0 {
-                        let slot = if k == 0 {
-                            &mut *lane0_failure
-                        } else {
-                            &mut failures[k]
-                        };
-                        if slot.is_none() {
-                            *slot = Some(msgs[msg as usize].clone());
-                        }
-                    }
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                let sr = src as usize * l;
-                assert!(sr + l <= regs.len());
-                let mut taken = 0u64;
-                for_lanes(mask, l, full, |k| {
-                    taken |= u64::from(regs[sr + k] == 0) << k;
-                });
-                if taken == mask {
-                    pc = target as usize;
-                    continue;
-                }
-                if taken != 0 {
-                    work.push((target, taken));
-                    mask &= !taken;
-                }
-            }
-        }
-        pc += 1;
-    }
-}
-
-/// [`run_tape_lanes_body`] compiled with AVX2 enabled: the dense lane
-/// loops auto-vectorize to 256-bit ops. Safety: caller checked the CPU
-/// feature at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_tape_lanes_avx2<const L: usize>(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
-    msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
-) {
-    run_tape_lanes_body::<L>(
-        tape,
-        start,
-        end,
-        mask0,
-        lanes,
-        regs,
-        values,
-        mems,
-        msgs,
-        lane0_nets,
-        lane0_mems,
-        lane0_failure,
-        pend_nets,
-        pend_mems,
-        failures,
-        work,
-    )
-}
-
-/// Runtime-dispatching front end for the SIMT step interpreter.
-/// Dispatches on the CPU's vector features and specializes the common
-/// lane counts so the per-lane loops get compile-time trip counts.
-#[allow(clippy::too_many_arguments)]
-fn run_tape_lanes(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    mask0: u64,
-    lanes: usize,
-    regs: &mut [u64],
-    values: &[u64],
-    mems: &[Vec<u64>],
-    msgs: &[String],
-    lane0_nets: &mut Vec<(u32, u64)>,
-    lane0_mems: &mut Vec<(u32, u64, u64)>,
-    lane0_failure: &mut Option<String>,
-    pend_nets: &mut [Vec<(u32, u64)>],
-    pend_mems: &mut [Vec<(u32, u64, u64)>],
-    failures: &mut [Option<String>],
-    work: &mut Vec<(u32, u64)>,
-) {
-    macro_rules! go {
-        ($l:literal) => {{
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature checked above.
-                unsafe {
-                    return run_tape_lanes_avx2::<$l>(
-                        tape,
-                        start,
-                        end,
-                        mask0,
-                        lanes,
-                        regs,
-                        values,
-                        mems,
-                        msgs,
-                        lane0_nets,
-                        lane0_mems,
-                        lane0_failure,
-                        pend_nets,
-                        pend_mems,
-                        failures,
-                        work,
-                    );
-                }
-            }
-            run_tape_lanes_body::<$l>(
-                tape,
-                start,
-                end,
-                mask0,
-                lanes,
-                regs,
-                values,
-                mems,
-                msgs,
-                lane0_nets,
-                lane0_mems,
-                lane0_failure,
-                pend_nets,
-                pend_mems,
-                failures,
-                work,
-            )
-        }};
-    }
-    match lanes {
-        64 => go!(64),
-        32 => go!(32),
-        16 => go!(16),
-        8 => go!(8),
-        _ => go!(0),
     }
 }
 
 // ------------------------------------------------------------- telemetry
 
 /// Opt-in runtime telemetry state. Lives behind an `Option<Box<_>>` on the
-/// simulator so the disabled path costs one pointer check per phase and the
-/// original tapes stay byte-identical: counting runs on private clones
-/// compiled on demand by [`Simulator::enable_telemetry`].
+/// simulator; the instruction counters are interpreter observers
+/// ([`PerPc`], [`Totals`]), so with telemetry off the tapes run under the
+/// zero-sized [`NoObs`] and pay nothing for it.
 struct Telemetry {
     /// Settled values at the previous accounting point (end of each step).
     prev: Vec<u64>,
@@ -4384,32 +3170,58 @@ struct Telemetry {
     step_cones: Vec<Cone>,
     /// Memories written during the current cycle (cleared each accounting).
     mems_written: Vec<bool>,
-    /// Private clones of the tapes, executed by the counting interpreter.
-    settle_tape: Vec<Insn>,
-    step_tape: Vec<Insn>,
-    /// Per-insn counters, indexed by pc in the cloned tapes.
-    settle_exec: Vec<u64>,
-    settle_changed: Vec<u64>,
-    step_exec: Vec<u64>,
-    step_changed: Vec<u64>,
+    /// Per-insn counters of full-tape runs, indexed by pc in the
+    /// simulator's tapes.
+    settle: PerPc,
+    step: PerPc,
     /// Aggregate instruction counts accumulated by the event engine (live
     /// counting on activated cones plus cached steady counts for skipped
     /// ones); added to the per-pc sums at report time so totals stay
     /// byte-identical to the full-tape engines.
-    settle_exec_extra: u64,
-    settle_changed_extra: u64,
-    step_exec_extra: u64,
-    step_changed_extra: u64,
-    net_masks: Vec<u64>,
-    mem_masks: Vec<u64>,
-    /// Scratch state for counting under the tree-walk engine: the counting
-    /// tape runs here (counts only) while the tree-walk drives the real
-    /// state, so both engines report identical numbers.
-    scratch_regs: Vec<u64>,
-    scratch_values: Vec<u64>,
-    scratch_pend_nets: Vec<(u32, u64)>,
-    scratch_pend_mems: Vec<(u32, u64, u64)>,
+    settle_extra: Totals,
+    step_extra: Totals,
+    scratch: Scratch,
     record_trace: bool,
+}
+
+/// Scalar scratch state for counting under the engines that do not run the
+/// scalar tapes (tree-walk, batched): a full-tape run primed with the live
+/// (lane-0) values counts exactly what the bytecode engine would, while the
+/// engine itself drives the real state.
+struct Scratch {
+    regs: Vec<u64>,
+    values: Vec<u64>,
+    pend_nets: Vec<(u32, u64)>,
+    pend_mems: Vec<(u32, u64, u64)>,
+}
+
+impl Scratch {
+    /// Run all of `tape` from the live `values` under observer `o`.
+    fn run<O: Observer>(
+        &mut self,
+        tape: &[Insn],
+        o: &mut O,
+        values: &[u64],
+        memories: &[Vec<u64>],
+        msgs: &[String],
+    ) {
+        self.values.copy_from_slice(values);
+        self.pend_nets.clear();
+        self.pend_mems.clear();
+        let fx = Commit {
+            nets: &mut self.pend_nets,
+            mems: &mut self.pend_mems,
+            failure: &mut None,
+            msgs,
+        };
+        let mut d = Scalar {
+            regs: &mut self.regs,
+            values: &mut self.values,
+            memories,
+            fx,
+        };
+        run_scalar(tape, 0, tape.len(), &mut d, o);
+    }
 }
 
 /// Simulator-level share of the sched-stats plane: per-cycle dirty-set
@@ -5182,148 +3994,14 @@ fn partition_step(always: &[CStmt], net_names: &[String], mem_names: &[String]) 
     cones
 }
 
-/// The counting twin of [`run_tape`]: identical semantics, plus per-insn
-/// executed/changed counters. Kept separate so the uninstrumented hot loop
-/// pays nothing for telemetry support.
-#[allow(clippy::too_many_arguments)]
-fn run_tape_counting(
-    tape: &[Insn],
-    start: usize,
-    end: usize,
-    regs: &mut [u64],
-    values: &mut [u64],
-    memories: &[Vec<u64>],
-    msgs: &[String],
-    pend_nets: &mut Vec<(u32, u64)>,
-    pend_mems: &mut Vec<(u32, u64, u64)>,
-    failure: &mut Option<String>,
-    exec: &mut [u64],
-    changed: &mut [u64],
-    net_masks: &[u64],
-    mem_masks: &[u64],
-) -> u64 {
-    let mut executed = 0u64;
-    let mut pc = start;
-    // regs[dst] = v, counting a change when the register held a different
-    // value (from the previous cycle, or an earlier conditional path).
-    macro_rules! put {
-        ($dst:expr, $v:expr) => {{
-            let v = $v;
-            let d = $dst as usize;
-            if regs[d] != v {
-                changed[pc] += 1;
-            }
-            regs[d] = v;
-        }};
-    }
-    while pc < end {
-        executed += 1;
-        exec[pc] += 1;
-        match tape[pc] {
-            Insn::LoadNet { dst, net } => put!(dst, values[net as usize]),
-            Insn::MemRead { dst, mem, addr, m } => {
-                let a = regs[addr as usize] as usize;
-                put!(dst, memories[mem as usize].get(a).copied().unwrap_or(0) & m);
-            }
-            Insn::Slice { dst, src, lo, m } => put!(dst, (regs[src as usize] >> lo) & m),
-            Insn::Not { dst, src, m } => put!(dst, !regs[src as usize] & m),
-            Insn::LNot { dst, src } => put!(dst, u64::from(regs[src as usize] == 0)),
-            Insn::RedOr { dst, src } => put!(dst, u64::from(regs[src as usize] != 0)),
-            Insn::Binary {
-                op,
-                dst,
-                a,
-                b,
-                aw,
-                bw,
-                m,
-            } => put!(
-                dst,
-                eval_binary(op, regs[a as usize], regs[b as usize], aw, bw) & m
-            ),
-            Insn::Select {
-                dst,
-                cond,
-                then,
-                els,
-                m,
-            } => {
-                let v = if regs[cond as usize] != 0 {
-                    regs[then as usize]
-                } else {
-                    regs[els as usize]
-                };
-                put!(dst, v & m);
-            }
-            Insn::ConcatFirst { dst, src, m } => put!(dst, regs[src as usize] & m),
-            Insn::ConcatPush { dst, src, shift, m } => {
-                put!(
-                    dst,
-                    (regs[dst as usize] << shift) | (regs[src as usize] & m)
-                );
-            }
-            Insn::MaskReg { dst, m } => put!(dst, regs[dst as usize] & m),
-            Insn::SignExtend {
-                dst,
-                src,
-                from,
-                fm,
-                m,
-            } => put!(dst, (sign_extend(regs[src as usize] & fm, from) as u64) & m),
-            Insn::StoreNet { net, src, m } => {
-                let v = regs[src as usize] & m;
-                if values[net as usize] != v {
-                    changed[pc] += 1;
-                }
-                values[net as usize] = v;
-            }
-            Insn::EmitNet { net, src } => {
-                let v = regs[src as usize];
-                if (v & net_masks[net as usize]) != values[net as usize] {
-                    changed[pc] += 1;
-                }
-                pend_nets.push((net, v));
-            }
-            Insn::EmitMem { mem, addr, src } => {
-                let a = regs[addr as usize];
-                let v = regs[src as usize];
-                if let Some(&cur) = memories[mem as usize].get(a as usize) {
-                    if (v & mem_masks[mem as usize]) != cur {
-                        changed[pc] += 1;
-                    }
-                }
-                pend_mems.push((mem, a, v));
-            }
-            Insn::Assert { guard, cond, msg } => {
-                if failure.is_none() && regs[guard as usize] != 0 && regs[cond as usize] == 0 {
-                    *failure = Some(msgs[msg as usize].clone());
-                }
-            }
-            Insn::Jump { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Insn::JumpIfZero { src, target } => {
-                if regs[src as usize] == 0 {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-        }
-        pc += 1;
-    }
-    executed
-}
-
 impl Simulator {
     /// Turn on the telemetry plane. Idempotent; settles first so counting
     /// starts from a consistent baseline. With `record_trace`, per-cone
     /// busy/quiescent intervals are kept for [`telemetry_trace`].
     ///
-    /// Counting runs on private clones of the tapes: the original tapes and
-    /// the untelemetered execution path are untouched. When telemetry is
-    /// enabled before the first `step`, both engines report identical
-    /// counts.
+    /// Counting is an interpreter observer: the tapes and the untelemetered
+    /// execution path are untouched. When telemetry is enabled before the
+    /// first `step`, every engine reports identical counts.
     ///
     /// [`telemetry_trace`]: Self::telemetry_trace
     pub fn enable_telemetry(&mut self, record_trace: bool) {
@@ -5331,32 +4009,19 @@ impl Simulator {
             return;
         }
         self.settle();
-        let settle_tape = self.settle_tape.clone();
-        let step_tape = self.step_tape.clone();
-        let mut scratch_regs = self.regs.clone();
-        let mut scratch_values = self.values.clone();
-        // Warm the counting register file: one uncounted run of the settle
+        // Warm the counting register file: one unobserved run of the settle
         // tape brings it to the state the bytecode engine's file holds
         // after the settle above (a no-op under `Engine::Bytecode`), so
-        // `changed` counters start from the same baseline under either
+        // `changed` counters start from the same baseline under every
         // engine.
-        {
-            let mut pn = Vec::new();
-            let mut pm = Vec::new();
-            let mut f = None;
-            run_tape(
-                &settle_tape,
-                0,
-                settle_tape.len(),
-                &mut scratch_regs,
-                &mut scratch_values,
-                &self.memories,
-                &self.msgs,
-                &mut pn,
-                &mut pm,
-                &mut f,
-            );
-        }
+        let mut scratch = Scratch {
+            regs: self.regs.clone(),
+            values: self.values.clone(),
+            pend_nets: Vec::new(),
+            pend_mems: Vec::new(),
+        };
+        let (values, memories, msgs) = (&self.values, &self.memories, &self.msgs);
+        scratch.run(&self.settle_tape, &mut NoObs, values, memories, msgs);
         let settle_cones = partition_settle(&self.assigns, &self.net_names);
         let step_cones = partition_step(&self.always, &self.net_names, &self.mem_names);
         self.telemetry = Some(Box::new(Telemetry {
@@ -5369,22 +4034,11 @@ impl Simulator {
             settle_cones,
             step_cones,
             mems_written: vec![false; self.memories.len()],
-            settle_exec: vec![0; settle_tape.len()],
-            settle_changed: vec![0; settle_tape.len()],
-            step_exec: vec![0; step_tape.len()],
-            step_changed: vec![0; step_tape.len()],
-            settle_exec_extra: 0,
-            settle_changed_extra: 0,
-            step_exec_extra: 0,
-            step_changed_extra: 0,
-            net_masks: self.net_width.iter().map(|&w| mask(w)).collect(),
-            mem_masks: self.mem_width.iter().map(|&w| mask(w)).collect(),
-            settle_tape,
-            step_tape,
-            scratch_regs,
-            scratch_values,
-            scratch_pend_nets: Vec::new(),
-            scratch_pend_mems: Vec::new(),
+            settle: PerPc::new(self.settle_tape.len()),
+            step: PerPc::new(self.step_tape.len()),
+            settle_extra: Totals::default(),
+            step_extra: Totals::default(),
+            scratch,
             record_trace,
         }));
         if let Some(ev) = self.ev.as_deref_mut() {
@@ -5435,31 +4089,22 @@ impl Simulator {
                 })
                 .collect()
         };
-        let insn_report =
-            |tape: &[Insn], exec: &[u64], changed: &[u64], ex: u64, ch: u64| InsnTelemetry {
+        let insn_report = |tape: &[Insn], per_pc: &PerPc, extra: Totals| {
+            let mut total = per_pc.totals();
+            total += extra;
+            InsnTelemetry {
                 len: tape.len() as u64,
-                executed: exec.iter().sum::<u64>() + ex,
-                changed: changed.iter().sum::<u64>() + ch,
-            };
+                executed: total.executed,
+                changed: total.changed,
+            }
+        };
         Some(TelemetryReport {
             cycles: t.cycles,
             nets,
             settle_cones: cone_report(&t.settle_cones),
             step_cones: cone_report(&t.step_cones),
-            settle_insns: insn_report(
-                &t.settle_tape,
-                &t.settle_exec,
-                &t.settle_changed,
-                t.settle_exec_extra,
-                t.settle_changed_extra,
-            ),
-            step_insns: insn_report(
-                &t.step_tape,
-                &t.step_exec,
-                &t.step_changed,
-                t.step_exec_extra,
-                t.step_changed_extra,
-            ),
+            settle_insns: insn_report(&self.settle_tape, &t.settle, t.settle_extra),
+            step_insns: insn_report(&self.step_tape, &t.step, t.step_extra),
             units: Vec::new(),
         })
     }
@@ -6065,9 +4710,164 @@ mod tests {
                 },
             }],
         });
+        // The remaining tape instructions: unary ops, a memory read that
+        // runs out of range (`rom` is 12 deep, `raddr` reaches 15), and an
+        // assertion evaluated on every write cycle that never fails.
+        m.port("flags", Dir::Output, 3);
+        m.port("peek", Dir::Output, 8);
+        m.memory("rom", 8, 12, None);
+        let unary = |op, arg| Expr::Unary {
+            op,
+            arg: Box::new(arg),
+        };
+        let low = |net: &str, hi| Expr::Slice {
+            base: Box::new(Expr::r(net)),
+            hi,
+            lo: 0,
+        };
+        m.assign(
+            "flags",
+            Expr::Concat(vec![
+                unary(UnOp::Not, low("raddr", 0)),
+                unary(UnOp::LNot, Expr::r("we")),
+                unary(UnOp::RedOr, Expr::r("wdata")),
+            ]),
+        );
+        m.assign(
+            "peek",
+            Expr::MemRead {
+                mem: "rom".into(),
+                addr: Box::new(Expr::r("raddr")),
+            },
+        );
+        m.main_always().stmts.push(Stmt::If {
+            cond: Expr::r("we"),
+            then: vec![Stmt::NonBlocking {
+                lhs: LValue::MemElem {
+                    mem: "rom".into(),
+                    addr: Expr::r("waddr"),
+                },
+                rhs: low("wdata", 7),
+            }],
+            els: vec![],
+        });
+        m.main_always().stmts.push(Stmt::Assert {
+            guard: Expr::r("we"),
+            cond: Expr::bin(BinOp::ULe, Expr::r("waddr"), Expr::c(15, 4)),
+            message: "waddr out of range".into(),
+        });
         let mut d = Design::new();
         d.add(m);
         d
+    }
+
+    /// Variant name of a tape instruction. Exhaustive, so a new variant
+    /// fails to compile until the coverage fixture below is extended.
+    fn insn_name(insn: &Insn) -> &'static str {
+        match insn {
+            Insn::LoadNet { .. } => "LoadNet",
+            Insn::MemRead { .. } => "MemRead",
+            Insn::Slice { .. } => "Slice",
+            Insn::Not { .. } => "Not",
+            Insn::LNot { .. } => "LNot",
+            Insn::RedOr { .. } => "RedOr",
+            Insn::Binary { .. } => "Binary",
+            Insn::Select { .. } => "Select",
+            Insn::ConcatFirst { .. } => "ConcatFirst",
+            Insn::ConcatPush { .. } => "ConcatPush",
+            Insn::MaskReg { .. } => "MaskReg",
+            Insn::SignExtend { .. } => "SignExtend",
+            Insn::StoreNet { .. } => "StoreNet",
+            Insn::EmitNet { .. } => "EmitNet",
+            Insn::EmitMem { .. } => "EmitMem",
+            Insn::Assert { .. } => "Assert",
+            Insn::Jump { .. } => "Jump",
+            Insn::JumpIfZero { .. } => "JumpIfZero",
+        }
+    }
+
+    #[test]
+    fn every_insn_variant_agrees_on_every_engine_with_telemetry_off_and_on() {
+        let d = mx_design();
+        let sim = Simulator::new(&d, "mx").expect("build");
+        let view = sim.tape_view();
+        let seen: BTreeSet<&str> = view
+            .settle_tape
+            .iter()
+            .chain(view.step_tape)
+            .map(insn_name)
+            .collect();
+        assert_eq!(seen.len(), 18, "the tapes cover only {seen:?}");
+        const LANES: usize = 4;
+        // Each lane drives its own stimulus, so the step tape's
+        // `JumpIfZero` on `we` diverges across batched lanes, and `raddr`
+        // walks past the end of `rom`.
+        let stimulus = |cyc: u64, lane: usize| {
+            let mut st = (cyc * LANES as u64 + lane as u64 + 1)
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            [("we", 1), ("waddr", 4), ("wdata", 16), ("raddr", 4)].map(|(port, width)| {
+                st = st.rotate_left(17);
+                (port, (st >> 24) & mask(width))
+            })
+        };
+        // Per lane: every output each cycle, then every memory word; plus
+        // the telemetry JSON when enabled. A scalar engine runs the
+        // stimulus of `lane0`.
+        let run = |engine: Engine, telemetry: bool, lane0: usize| {
+            let mut sim = Simulator::new(&d, "mx").expect("build");
+            sim.set_batch_lanes(LANES);
+            sim.set_engine(engine);
+            if telemetry {
+                sim.enable_telemetry(true);
+            }
+            let lanes = sim.lanes();
+            let mut traces = vec![Vec::new(); lanes];
+            for cyc in 0..300u64 {
+                for k in 0..lanes {
+                    for (port, v) in stimulus(cyc, lane0 + k) {
+                        match lanes {
+                            1 => sim.set(port, v),
+                            _ => sim.set_lane(port, k, v),
+                        }
+                    }
+                }
+                for (k, trace) in traces.iter_mut().enumerate() {
+                    for out in ["rdata", "sum", "flags", "peek"] {
+                        trace.push(match lanes {
+                            1 => sim.get(out),
+                            _ => sim.get_lane(out, k),
+                        });
+                    }
+                }
+                sim.step().expect("the fixture's assertion never fails");
+            }
+            for (k, trace) in traces.iter_mut().enumerate() {
+                for (mem, depth) in [("ram", 16), ("rom", 12)] {
+                    for addr in 0..depth {
+                        trace.push(match lanes {
+                            1 => sim.read_mem(mem, addr),
+                            _ => sim.read_mem_lane(mem, k, addr),
+                        });
+                    }
+                }
+            }
+            (traces, sim.telemetry_report().map(|r| r.to_json()))
+        };
+        let (reference, telemetry) = run(Engine::Bytecode, true, 0);
+        for with_telemetry in [false, true] {
+            for engine in ALL_ENGINES {
+                let (traces, json) = run(engine, with_telemetry, 0);
+                let what = format!("{engine:?}, telemetry {with_telemetry}");
+                assert_eq!(traces[0], reference[0], "{what}");
+                assert_eq!(json, telemetry.clone().filter(|_| with_telemetry), "{what}");
+                for (k, trace) in traces.iter().enumerate().skip(1) {
+                    assert_ne!(trace, &traces[0], "lane {k} never diverged ({what})");
+                    let (lane_ref, _) = run(Engine::Bytecode, false, k);
+                    assert_eq!(trace, &lane_ref[0], "lane {k} ({what})");
+                }
+            }
+        }
     }
 
     #[test]
@@ -6227,7 +5027,7 @@ mod tests {
             for cyc in 0..32u64 {
                 sim.set("we", cyc % 2);
                 sim.set("waddr", cyc % 16);
-                sim.set("wdata", cyc * 3 & 0xffff);
+                sim.set("wdata", (cyc * 3) & 0xffff);
                 sim.set("raddr", (cyc + 1) % 16);
                 sim.step().unwrap();
             }
@@ -6586,16 +5386,16 @@ mod tests {
             .map(|_| Simulator::new(&d, "counter").expect("build"))
             .collect();
         for cyc in 0..200u64 {
-            for lane in 0..4usize {
+            for (lane, s) in scalars.iter_mut().enumerate() {
                 // Divergent per-lane enables.
                 let en = u64::from(cyc % (lane as u64 + 2) != 0);
                 batched.set_lane("en", lane, en);
-                scalars[lane].set("en", en);
+                s.set("en", en);
             }
-            for lane in 0..4usize {
+            for (lane, s) in scalars.iter_mut().enumerate() {
                 assert_eq!(
                     batched.get_lane("count", lane),
-                    scalars[lane].get("count"),
+                    s.get("count"),
                     "lane {lane} cycle {cyc}"
                 );
             }
@@ -6695,7 +5495,7 @@ mod tests {
         let mut a = Simulator::new(&d, "mx").expect("build");
         let mut b = Simulator::new(&d, "mx").expect("build");
         let mut state = 0xDEADBEEFCAFEF00Du64;
-        let mut drive = |s: &mut Simulator, st: u64| {
+        let drive = |s: &mut Simulator, st: u64| {
             let mut st = st;
             for (port, width) in [("we", 1), ("waddr", 4), ("wdata", 16), ("raddr", 4)] {
                 s.set(port, (st >> 24) & mask(width));

@@ -722,12 +722,12 @@ impl<'a> Lowering<'a> {
                         end: *target,
                     });
                 }
-                Insn::EmitNet { net, src } => {
+                Insn::EmitNet { net, src, .. } => {
                     let guard = self.guard(&regions);
                     let v = self.reg(*src);
                     pend_nets.push((*net, guard, v));
                 }
-                Insn::EmitMem { mem, addr, src } => {
+                Insn::EmitMem { mem, addr, src, .. } => {
                     let guard = self.guard(&regions);
                     let a = self.reg(*addr);
                     let v = self.reg(*src);

@@ -491,8 +491,8 @@ fn stencil_and_unrolled_designs_compile_and_run() {
         )
         .expect("simulate");
     let expect = kernels::stencil::reference(64, &input);
-    for i in 0..64 {
-        assert_eq!(r.tensors[&1][i], Some(expect[i]), "B[{i}]");
+    for (i, &e) in expect.iter().enumerate().take(64) {
+        assert_eq!(r.tensors[&1][i], Some(e), "B[{i}]");
     }
 
     // Listing 4: all four lanes write in the same cycle.

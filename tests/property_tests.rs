@@ -265,8 +265,8 @@ proptest! {
         )
         .expect("harness");
         let rtl = h.run(10_000).expect("RTL");
-        for i in 0..n as usize {
-            let expect = (input[i] * scale as i128 + input[i]) as i32 as i128;
+        for (i, &x) in input.iter().enumerate().take(n as usize) {
+            let expect = (x * scale as i128 + x) as i32 as i128;
             prop_assert_eq!(interp.tensors[&1][i], Some(expect));
             prop_assert_eq!(rtl.mems[&1][i], expect);
         }
@@ -295,8 +295,8 @@ proptest! {
                 ],
             )
             .expect("simulate");
-        for i in 0..n as usize {
-            if let Some(v) = expect[i] {
+        for (i, &e) in expect.iter().enumerate().take(n as usize) {
+            if let Some(v) = e {
                 prop_assert_eq!(r.tensors[&2][i], Some(v), "dout[{}]", i);
             }
         }
@@ -344,10 +344,10 @@ proptest! {
                 &[ArgValue::tensor_from(&input), ArgValue::uninit_tensor(n as usize)],
             )
             .expect("simulate");
-        for i in 0..n as usize {
+        for (i, &x) in input.iter().enumerate().take(n as usize) {
             prop_assert_eq!(
                 r.tensors[&1][i],
-                Some(input[i] * mul_c as i128 + add_c as i128),
+                Some(x * mul_c as i128 + add_c as i128),
                 "o[{}]", i
             );
         }
@@ -391,8 +391,8 @@ proptest! {
         let r = Interpreter::new(&m)
             .run("p", &[ArgValue::tensor_from(&input), ArgValue::uninit_tensor(n as usize)])
             .expect("simulate");
-        for i in 0..n as usize {
-            prop_assert_eq!(r.tensors[&1][i], Some(input[i]));
+        for (i, &x) in input.iter().enumerate().take(n as usize) {
+            prop_assert_eq!(r.tensors[&1][i], Some(x));
         }
     }
 
