@@ -230,9 +230,9 @@ fn main() {
     let speedup_batched = bt.lane_cycles_per_s / bc.cycles_per_s;
     println!("speedup    bytecode/tree-walk {speedup:.1}x, event/bytecode {speedup_event:.1}x, batched lane-cycles/bytecode {speedup_batched:.1}x");
     // Telemetry slowdown (counters on vs off, same engine). Under the
-    // bytecode engine the tape runs under the per-pc counting observer;
-    // under the event engine telemetry piggybacks on the dirty-set, so the
-    // recorded overhead is the event-mode figure.
+    // bytecode engine the live tape run carries the per-pc counting
+    // observer; the event engine keeps its dispatch and adds a full-tape
+    // scratch counting run. The recorded overhead is the event-mode figure.
     let overhead_bc_pct = 100.0 * (1.0 - bct.cycles_per_s / bc.cycles_per_s);
     let overhead_pct = 100.0 * (1.0 - evt.cycles_per_s / ev.cycles_per_s);
     println!(

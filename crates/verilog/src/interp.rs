@@ -16,9 +16,11 @@
 //! - the **observer** ([`Observer`]) sees every dispatched instruction and
 //!   every changed destination: [`NoObs`] is zero-sized and its hooks
 //!   compile away, so an unobserved run is the bare interpreter; [`PerPc`]
-//!   counts per instruction (full-tape telemetry) and [`Totals`] in
-//!   aggregate (event-scheduled chains). [`Lanes`] implements [`Domain`]
-//!   for [`NoObs`] only: telemetry never rides the lane domain.
+//!   counts per instruction. Telemetry counts only full-tape scalar runs:
+//!   the bytecode engine's live run, or the scratch run every other engine
+//!   makes, so event-scheduled ranges always run unobserved. [`Lanes`]
+//!   implements [`Domain`] for [`NoObs`] only: telemetry never rides the
+//!   lane domain.
 
 use crate::ast::BinOp;
 use crate::sim::{eval_binary, sign_extend, Insn};
@@ -194,13 +196,6 @@ impl PerPc {
             changed: vec![0; len],
         }
     }
-
-    pub fn totals(&self) -> Totals {
-        Totals {
-            executed: self.exec.iter().sum(),
-            changed: self.changed.iter().sum(),
-        }
-    }
 }
 
 impl Observer for PerPc {
@@ -213,31 +208,6 @@ impl Observer for PerPc {
         if changed() {
             self.changed[pc] += 1;
         }
-    }
-}
-
-/// Aggregate executed/changed instruction counts.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Totals {
-    pub executed: u64,
-    pub changed: u64,
-}
-
-impl Observer for Totals {
-    #[inline(always)]
-    fn exec(&mut self, _pc: usize) {
-        self.executed += 1;
-    }
-    #[inline(always)]
-    fn changed(&mut self, _pc: usize, changed: impl FnOnce() -> bool) {
-        self.changed += u64::from(changed());
-    }
-}
-
-impl std::ops::AddAssign for Totals {
-    fn add_assign(&mut self, rhs: Totals) {
-        self.executed += rhs.executed;
-        self.changed += rhs.changed;
     }
 }
 

@@ -11,7 +11,7 @@ use crate::ast::*;
 use crate::elaborate::{flatten, ElabError};
 use crate::interp::{
     run_lanes, run_scalar, Commit, LaneCommit, LaneList, Lanes, NetList, NoObs, Observer, PerPc,
-    Scalar, Totals,
+    Scalar,
 };
 use obs::json::escape as json_escape;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -1007,15 +1007,11 @@ impl Simulator {
         match engine {
             Engine::Event => {
                 self.batch = None;
-                let mut ev = EventState::build(self);
-                ev.track = self.telemetry.is_some();
-                self.ev = Some(ev);
+                self.ev = Some(EventState::build(self));
                 self.dirty = true;
             }
             Engine::Batched => {
-                let mut ev = EventState::build(self);
-                ev.track = false;
-                self.ev = Some(ev);
+                self.ev = Some(EventState::build(self));
                 self.batch = Some(BatchState::build(self, self.batch_lanes));
                 self.dirty = true;
             }
@@ -1449,8 +1445,8 @@ impl Simulator {
     pub fn settle(&mut self) {
         // Two iterations would be needed only for stale memory reads; assigns
         // are topologically ordered so one pass suffices.
-        // Engines that do not run the scalar tapes count on a scratch run.
-        if matches!(self.engine, Engine::TreeWalk | Engine::Batched) {
+        // Every engine but bytecode counts on a full-tape scratch run.
+        if self.engine != Engine::Bytecode {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.scratch.run(
                     &self.settle_tape,
@@ -1490,83 +1486,16 @@ impl Simulator {
                 // Worklist to fixpoint. Units are dispatched in ascending
                 // index order, which is tape order, which is topological
                 // order — so a unit's readers always sit ahead of it and
-                // one in-order sweep converges; the outer loop guards that
-                // invariant (external pokes are the only way bits appear
-                // behind the cursor).
-                match self.telemetry.as_deref_mut() {
-                    // Fast path: coalesced worklist sweep — consecutive
-                    // pending units collapse into single interpreter calls
-                    // (see `settle_sweep`).
-                    None => settle_sweep(
-                        &self.settle_tape,
-                        &mut self.regs,
-                        &mut self.values,
-                        &self.memories,
-                        &mut ev,
-                    ),
-                    Some(t) => {
-                        loop {
-                            let mut any = false;
-                            for w in 0..ev.settle_pending.len() {
-                                while ev.settle_pending[w] != 0 {
-                                    let c =
-                                        (w << 6) | ev.settle_pending[w].trailing_zeros() as usize;
-                                    ev.settle_pending[w] &= ev.settle_pending[w] - 1;
-                                    any = true;
-                                    ev.stat_settle_runs += 1;
-                                    if let Some(sc) = ev.sched.as_deref_mut() {
-                                        sc.settle_run_len.record(1);
-                                    }
-                                    ev.settle_ran[c] = true;
-                                    ev.settle_stale[c] = true;
-                                    // Unit c is settle chain c: one assign, one chain.
-                                    let (s, e) = ev.settle_chains[c];
-                                    ev.stat_settle_insns += (e - s) as u64;
-                                    let d = &mut scalar!(self, NetList(&mut ev.store_changed));
-                                    let tape = &self.settle_tape;
-                                    run_scalar(
-                                        tape,
-                                        s as usize,
-                                        e as usize,
-                                        d,
-                                        &mut t.settle_extra,
-                                    );
-                                    let mut i = 0;
-                                    while i < ev.store_changed.len() {
-                                        let net = ev.store_changed[i] as usize;
-                                        i += 1;
-                                        ev.note_net_change(net, ALL_LANES);
-                                    }
-                                    ev.store_changed.clear();
-                                }
-                            }
-                            if !any {
-                                break;
-                            }
-                        }
-                        // Skipped cones still contribute the counts a
-                        // full-tape run would record: steady-state counts,
-                        // cached per cone and refreshed by one idempotent
-                        // live re-run after each execution.
-                        for c in 0..ev.settle_chains.len() {
-                            if ev.settle_ran[c] {
-                                ev.settle_ran[c] = false;
-                                continue;
-                            }
-                            if ev.settle_stale[c] {
-                                let (s, e) = ev.settle_chains[c];
-                                let mut steady = Totals::default();
-                                let d = &mut scalar!(self, NetList(&mut ev.store_changed));
-                                let tape = &self.settle_tape;
-                                run_scalar(tape, s as usize, e as usize, d, &mut steady);
-                                debug_assert!(ev.store_changed.is_empty());
-                                ev.settle_cache[c] = steady;
-                                ev.settle_stale[c] = false;
-                            }
-                            t.settle_extra += ev.settle_cache[c];
-                        }
-                    }
-                }
+                // one in-order sweep converges; the outer loop of
+                // `settle_sweep` guards that invariant (external pokes are
+                // the only way bits appear behind the cursor).
+                settle_sweep(
+                    &self.settle_tape,
+                    &mut self.regs,
+                    &mut self.values,
+                    &self.memories,
+                    &mut ev,
+                );
                 self.ev = Some(ev);
             }
             Engine::Batched => {
@@ -1658,8 +1587,8 @@ impl Simulator {
         net_updates.clear();
         mem_updates.clear();
         let mut failure: Option<String> = None;
-        // Engines that do not run the scalar tapes count on a scratch run.
-        if matches!(self.engine, Engine::TreeWalk | Engine::Batched) {
+        // Every engine but bytecode counts on a full-tape scratch run.
+        if self.engine != Engine::Bytecode {
             if let Some(t) = self.telemetry.as_deref_mut() {
                 t.scratch.run(
                     &self.step_tape,
@@ -1703,113 +1632,52 @@ impl Simulator {
             }
             Engine::Event => {
                 let mut ev = self.ev.take().expect("event state built on engine switch");
-                match self.telemetry.as_deref_mut() {
-                    None => {
-                        // Fast path: pop pending cones off the summary bitset in
-                        // tape order (quiescent cones cost ~1/64 load each) and
-                        // merge member chains that sit back-to-back in the tape
-                        // into one interpreter call. Step chains are independent
-                        // (non-blocking semantics: every write lands in the
-                        // pending-update buffers, not the live state), so the
-                        // merge never reorders an observable read after a write.
-                        let mut rs = usize::MAX;
-                        let mut re = 0usize;
-                        let mut run_chains = 0u64;
-                        for w in 0..ev.step_dirty.len() {
-                            while ev.step_dirty[w] != 0 {
-                                let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
-                                ev.step_dirty[w] &= ev.step_dirty[w] - 1;
-                                ev.step_pending[c] = 0;
-                                ev.stat_step_runs += 1;
-                                let (ms, me) = (
-                                    ev.step_members_off[c] as usize,
-                                    ev.step_members_off[c + 1] as usize,
-                                );
-                                for mi in ms..me {
-                                    let chain = ev.step_members_flat[mi] as usize;
-                                    let (s, e) = ev.step_chains[chain];
-                                    ev.stat_step_insns += (e - s) as u64;
-                                    let (s, e) = (s as usize, e as usize);
-                                    if rs == usize::MAX {
-                                        (rs, re) = (s, e);
-                                        run_chains = 1;
-                                    } else if s == re {
-                                        re = e;
-                                        run_chains += 1;
-                                    } else {
-                                        run_step!(rs, re, &mut NoObs);
-                                        if let Some(sc) = ev.sched.as_deref_mut() {
-                                            sc.step_run_len.record(run_chains);
-                                        }
-                                        (rs, re) = (s, e);
-                                        run_chains = 1;
-                                    }
+                // Pop pending cones off the summary bitset in tape order
+                // (quiescent cones cost ~1/64 load each) and merge member
+                // chains that sit back-to-back in the tape into one
+                // interpreter call. Step chains are independent
+                // (non-blocking semantics: every write lands in the
+                // pending-update buffers, not the live state), so the
+                // merge never reorders an observable read after a write.
+                let mut rs = usize::MAX;
+                let mut re = 0usize;
+                let mut run_chains = 0u64;
+                for w in 0..ev.step_dirty.len() {
+                    while ev.step_dirty[w] != 0 {
+                        let c = (w << 6) | ev.step_dirty[w].trailing_zeros() as usize;
+                        ev.step_dirty[w] &= ev.step_dirty[w] - 1;
+                        ev.step_pending[c] = 0;
+                        ev.stat_step_runs += 1;
+                        let (ms, me) = (
+                            ev.step_members_off[c] as usize,
+                            ev.step_members_off[c + 1] as usize,
+                        );
+                        for mi in ms..me {
+                            let chain = ev.step_members_flat[mi] as usize;
+                            let (s, e) = ev.step_chains[chain];
+                            ev.stat_step_insns += (e - s) as u64;
+                            let (s, e) = (s as usize, e as usize);
+                            if rs == usize::MAX {
+                                (rs, re) = (s, e);
+                                run_chains = 1;
+                            } else if s == re {
+                                re = e;
+                                run_chains += 1;
+                            } else {
+                                run_step!(rs, re, &mut NoObs);
+                                if let Some(sc) = ev.sched.as_deref_mut() {
+                                    sc.step_run_len.record(run_chains);
                                 }
-                            }
-                        }
-                        if rs != usize::MAX {
-                            run_step!(rs, re, &mut NoObs);
-                            if let Some(sc) = ev.sched.as_deref_mut() {
-                                sc.step_run_len.record(run_chains);
+                                (rs, re) = (s, e);
+                                run_chains = 1;
                             }
                         }
                     }
-                    Some(t) => {
-                        for c in 0..(ev.step_members_off.len() - 1) {
-                            let (ms, me) = (
-                                ev.step_members_off[c] as usize,
-                                ev.step_members_off[c + 1] as usize,
-                            );
-                            if ev.step_pending[c] != 0 {
-                                ev.step_pending[c] = 0;
-                                ev.stat_step_runs += 1;
-                                ev.step_stale[c] = true;
-                                for mi in ms..me {
-                                    let chain = ev.step_members_flat[mi] as usize;
-                                    let (s, e) = ev.step_chains[chain];
-                                    ev.stat_step_insns += (e - s) as u64;
-                                    if let Some(sc) = ev.sched.as_deref_mut() {
-                                        // Telemetry dispatch runs chains singly.
-                                        sc.step_run_len.record(1);
-                                    }
-                                    run_step!(s as usize, e as usize, &mut t.step_extra);
-                                }
-                                continue;
-                            }
-                            if ev.step_stale[c] {
-                                // Refresh the steady counts with one idempotent
-                                // re-run on the live state (inputs unchanged):
-                                // emissions go to scratch buffers.
-                                let mut steady = Totals::default();
-                                for mi in ms..me {
-                                    let chain = ev.step_members_flat[mi] as usize;
-                                    let (s, e) = ev.step_chains[chain];
-                                    let sc = &mut t.scratch;
-                                    sc.pend_nets.clear();
-                                    sc.pend_mems.clear();
-                                    let fx = Commit {
-                                        nets: &mut sc.pend_nets,
-                                        mems: &mut sc.pend_mems,
-                                        failure: &mut None,
-                                        msgs: &self.msgs,
-                                    };
-                                    let d = &mut scalar!(self, fx);
-                                    run_scalar(
-                                        &self.step_tape,
-                                        s as usize,
-                                        e as usize,
-                                        d,
-                                        &mut steady,
-                                    );
-                                }
-                                ev.step_cache[c] = steady;
-                                ev.step_stale[c] = false;
-                            }
-                            t.step_extra += ev.step_cache[c];
-                        }
-                        for w in &mut ev.step_dirty {
-                            *w = 0;
-                        }
+                }
+                if rs != usize::MAX {
+                    run_step!(rs, re, &mut NoObs);
+                    if let Some(sc) = ev.sched.as_deref_mut() {
+                        sc.step_run_len.record(run_chains);
                     }
                 }
                 self.ev = Some(ev);
@@ -2090,10 +1958,6 @@ impl Simulator {
     /// after the post-edge settle, comparing the newly settled values
     /// against the previous accounting point's snapshot.
     fn telemetry_account(&mut self) {
-        if self.engine == Engine::Event && self.ev.is_some() {
-            self.telemetry_account_dirty();
-            return;
-        }
         let Some(t) = self.telemetry.as_deref_mut() else {
             return;
         };
@@ -2105,20 +1969,8 @@ impl Simulator {
             if new != old {
                 t.toggle_cycles[i] += 1;
                 t.bit_toggles[i] += u64::from((new ^ old).count_ones());
-                // Lazy high accounting: credit the run of unchanged cycles
-                // the old value was held for, then this point's new value;
-                // [`telemetry_report`](Self::telemetry_report) credits the
-                // still-open run. Identical totals to eager per-cycle
-                // accounting, but change-driven, so the event engine's
-                // dirty-set covers it.
-                if old != 0 {
-                    t.high_cycles[i] += (t.cycles - 1) - t.high_since[i];
-                }
-                if new != 0 {
-                    t.high_cycles[i] += 1;
-                }
-                t.high_since[i] = t.cycles;
             }
+            t.high_cycles[i] += u64::from(new != 0);
         }
         for cone in t.settle_cones.iter_mut().chain(t.step_cones.iter_mut()) {
             let mut quiet = cone
@@ -2143,98 +1995,6 @@ impl Simulator {
         for w in &mut t.mems_written {
             *w = false;
         }
-    }
-
-    /// Dirty-set accounting for [`Engine::Event`]: instead of re-deriving
-    /// per-net change detection with a full scan, visit only the nets the
-    /// scheduler recorded as possibly-changed (a sound superset, filtered
-    /// here by an exact compare against the previous snapshot) and mark
-    /// reader cones busy through the same sensitivity lists that drive
-    /// scheduling. Counter totals are byte-identical to the eager path.
-    fn telemetry_account_dirty(&mut self) {
-        let Some(t) = self.telemetry.as_deref_mut() else {
-            return;
-        };
-        let mut ev = self.ev.take().expect("event state built on engine switch");
-        t.cycles += 1;
-        let cyc = t.cycles - 1;
-        for idx in 0..ev.changed_nets.len() {
-            let i = ev.changed_nets[idx] as usize;
-            ev.changed_flag[i] = false;
-            let new = self.values[i];
-            let old = t.prev[i];
-            if new != old {
-                t.toggle_cycles[i] += 1;
-                t.bit_toggles[i] += u64::from((new ^ old).count_ones());
-                if old != 0 {
-                    t.high_cycles[i] += (t.cycles - 1) - t.high_since[i];
-                }
-                if new != 0 {
-                    t.high_cycles[i] += 1;
-                }
-                t.high_since[i] = t.cycles;
-                t.prev[i] = new;
-                let (a, b) = (
-                    ev.settle_readers.off[i] as usize,
-                    ev.settle_readers.off[i + 1] as usize,
-                );
-                for j in a..b {
-                    let c = ev.settle_readers.flat[j];
-                    ev.settle_busy[ev.settle_unit_cone[c as usize] as usize] = true;
-                }
-                let (a, b) = (
-                    ev.step_readers.off[i] as usize,
-                    ev.step_readers.off[i + 1] as usize,
-                );
-                for j in a..b {
-                    let c = ev.step_readers.flat[j];
-                    ev.step_busy[c as usize] = true;
-                }
-            }
-        }
-        ev.changed_nets.clear();
-        for m in 0..t.mems_written.len() {
-            if t.mems_written[m] {
-                t.mems_written[m] = false;
-                let (a, b) = (
-                    ev.settle_mem_readers.off[m] as usize,
-                    ev.settle_mem_readers.off[m + 1] as usize,
-                );
-                for j in a..b {
-                    let c = ev.settle_mem_readers.flat[j];
-                    ev.settle_busy[ev.settle_unit_cone[c as usize] as usize] = true;
-                }
-                let (a, b) = (
-                    ev.step_mem_readers.off[m] as usize,
-                    ev.step_mem_readers.off[m + 1] as usize,
-                );
-                for j in a..b {
-                    let c = ev.step_mem_readers.flat[j];
-                    ev.step_busy[c as usize] = true;
-                }
-            }
-        }
-        for (cones, busy) in [
-            (&mut t.settle_cones, &mut ev.settle_busy),
-            (&mut t.step_cones, &mut ev.step_busy),
-        ] {
-            for (c, cone) in cones.iter_mut().enumerate() {
-                if busy[c] {
-                    busy[c] = false;
-                    if t.record_trace && cone.busy_since.is_none() {
-                        cone.busy_since = Some(cyc);
-                    }
-                } else {
-                    cone.quiescent_cycles += 1;
-                    if t.record_trace {
-                        if let Some(start) = cone.busy_since.take() {
-                            cone.busy_intervals.push((start, cyc));
-                        }
-                    }
-                }
-            }
-        }
-        self.ev = Some(ev);
     }
 
     /// Run `n` clock cycles.
@@ -2572,8 +2332,6 @@ struct EventState {
     settle_writer: Vec<u32>,
     /// mem -> settle scheduler units reading it (latency-0 read ports).
     settle_mem_readers: Csr,
-    /// settle scheduler unit -> coarse union-find cone (telemetry index).
-    settle_unit_cone: Vec<u32>,
     /// net -> step cones reading it.
     step_readers: Csr,
     /// net -> step cones writing it (woken on external pokes only).
@@ -2591,35 +2349,10 @@ struct EventState {
     /// Summary bitset over `step_pending` (bit c set iff the cone's lane
     /// mask is non-zero), giving the step dispatch the same ~n/64 scan.
     step_dirty: Vec<u64>,
-    /// Whether to record changed nets for the telemetry piggyback (set iff
-    /// telemetry is enabled): `changed_nets` then holds a deduplicated
-    /// superset of the nets whose settled value differs from the previous
-    /// accounting point's snapshot.
-    track: bool,
-    changed_nets: Vec<u32>,
-    changed_flag: Vec<bool>,
     /// Scratch: nets changed by the settle cone currently being drained.
     store_changed: Vec<u32>,
     /// Scratch: (net, changed-lane-mask) pairs from a batched settle cone.
     store_changed_lanes: Vec<(u32, u64)>,
-    /// Scratch: per-cone busy marks for telemetry accounting.
-    settle_busy: Vec<bool>,
-    step_busy: Vec<bool>,
-    /// Scratch: cones executed during the current settle call.
-    settle_ran: Vec<bool>,
-    /// Per-cone steady-state (exec, changed) instruction counts: what a
-    /// full-tape run under the [`PerPc`] observer would record for a
-    /// quiescent cone.
-    /// Exact for skipped cones — with unchanged inputs a re-execution
-    /// repeats the same path and register trajectory — so summing cache
-    /// entries for skipped cones plus live counts for executed ones equals
-    /// the bytecode engine's totals. A cache entry is stale after the cone
-    /// executes (its next steady counts may differ) and is refreshed by
-    /// one idempotent re-run on the live state.
-    settle_cache: Vec<Totals>,
-    settle_stale: Vec<bool>,
-    step_cache: Vec<Totals>,
-    step_stale: Vec<bool>,
     /// Scheduler activity counters: cone executions (settle, step) since
     /// construction. Cheap enough to keep unconditionally; surfaced through
     /// [`Simulator::event_activity`] for profiling and reports.
@@ -2709,8 +2442,7 @@ impl Csr {
 /// chains are laid out back-to-back). A range executes in tape order, so
 /// every unit inside it has already seen its in-range producers' final
 /// values; wakes the drain re-raises inside the range are therefore
-/// satisfied and cleared again. When `record_slot` names a memo slot,
-/// the executed ranges and changed-net trace are recorded into it.
+/// satisfied and cleared again.
 fn settle_sweep(
     tape: &[Insn],
     regs: &mut [u64],
@@ -2812,11 +2544,8 @@ impl EventState {
         // without merging producer-consumer pairs, and fine units mean a
         // changed net re-evaluates only its actual readers instead of the
         // whole connected netlist (the union-find cone, which on HLS output
-        // typically spans nearly every assign through the shared FSM). The
-        // coarse cones remain the telemetry reporting unit;
-        // `settle_unit_cone` maps scheduler units onto them.
+        // typically spans nearly every assign through the shared FSM).
         let n_assigns = sim.assigns.len();
-        let settle_cones = partition_settle(&sim.assigns, &sim.net_names);
         let step_cones = partition_step(&sim.always, &sim.net_names, &sim.mem_names);
         let mut ev = EventState {
             settle_chains: chain_bounds(&sim.settle_chain_starts, sim.settle_tape.len()),
@@ -2830,22 +2559,11 @@ impl EventState {
             step_writers: Csr::from_lists(&[]),
             step_mem_readers: Csr::from_lists(&[]),
             step_mem_writers: Csr::from_lists(&[]),
-            settle_unit_cone: vec![0; n_assigns],
             settle_pending: full_bitset(n_assigns),
             step_pending: vec![ALL_LANES; step_cones.len()],
             step_dirty: full_bitset(step_cones.len()),
-            track: sim.telemetry.is_some(),
-            changed_nets: Vec::new(),
-            changed_flag: vec![false; n_nets],
             store_changed: Vec::new(),
             store_changed_lanes: Vec::new(),
-            settle_busy: vec![false; settle_cones.len()],
-            step_busy: vec![false; step_cones.len()],
-            settle_ran: vec![false; n_assigns],
-            settle_cache: vec![Totals::default(); n_assigns],
-            settle_stale: vec![true; n_assigns],
-            step_cache: vec![Totals::default(); step_cones.len()],
-            step_stale: vec![true; step_cones.len()],
             stat_settle_runs: 0,
             stat_step_runs: 0,
             stat_settle_insns: 0,
@@ -2875,11 +2593,6 @@ impl EventState {
                 settle_mem_readers[m].push(i as u32);
             }
             ev.settle_writer[*net] = i as u32;
-        }
-        for (c, cone) in settle_cones.iter().enumerate() {
-            for &a in &cone.members {
-                ev.settle_unit_cone[a as usize] = c as u32;
-            }
         }
         for (c, cone) in step_cones.iter().enumerate() {
             for &net in &cone.inputs {
@@ -2930,10 +2643,6 @@ impl EventState {
     /// every cone that reads it. `lane_mask` limits which batched lanes
     /// re-evaluate.
     fn note_net_change(&mut self, net: usize, lane_mask: u64) {
-        if self.track && !self.changed_flag[net] {
-            self.changed_flag[net] = true;
-            self.changed_nets.push(net as u32);
-        }
         let (a, b) = (
             self.settle_readers.off[net] as usize,
             self.settle_readers.off[net + 1] as usize,
@@ -3147,9 +2856,12 @@ impl BatchState {
 // ------------------------------------------------------------- telemetry
 
 /// Opt-in runtime telemetry state. Lives behind an `Option<Box<_>>` on the
-/// simulator; the instruction counters are interpreter observers
-/// ([`PerPc`], [`Totals`]), so with telemetry off the tapes run under the
-/// zero-sized [`NoObs`] and pay nothing for it.
+/// simulator; the instruction counters are a [`PerPc`] interpreter
+/// observer, so with telemetry off the tapes run under the zero-sized
+/// [`NoObs`] and pay nothing for it. One counting rule for every engine:
+/// the bytecode engine counts on its live run, which is a full-tape run;
+/// every other engine counts on a [`Scratch`] full-tape run, and all of
+/// them share the full-scan `telemetry_account`.
 struct Telemetry {
     /// Settled values at the previous accounting point (end of each step).
     prev: Vec<u64>,
@@ -3157,13 +2869,8 @@ struct Telemetry {
     toggle_cycles: Vec<u64>,
     /// Per-net: total bit flips across all cycles.
     bit_toggles: Vec<u64>,
-    /// Per-net: cycles in which the net was non-zero. Maintained lazily:
-    /// exact only through the accounting point recorded in `high_since`;
-    /// the still-open run of unchanged cycles is credited at report time.
+    /// Per-net: cycles in which the net was non-zero.
     high_cycles: Vec<u64>,
-    /// Per-net: accounting point (1-based `cycles` value) up to which
-    /// `high_cycles` has been credited; `prev` has held its value since.
-    high_since: Vec<u64>,
     /// Accounting points seen (== steps since telemetry was enabled).
     cycles: u64,
     settle_cones: Vec<Cone>,
@@ -3174,20 +2881,15 @@ struct Telemetry {
     /// simulator's tapes.
     settle: PerPc,
     step: PerPc,
-    /// Aggregate instruction counts accumulated by the event engine (live
-    /// counting on activated cones plus cached steady counts for skipped
-    /// ones); added to the per-pc sums at report time so totals stay
-    /// byte-identical to the full-tape engines.
-    settle_extra: Totals,
-    step_extra: Totals,
     scratch: Scratch,
     record_trace: bool,
 }
 
-/// Scalar scratch state for counting under the engines that do not run the
-/// scalar tapes (tree-walk, batched): a full-tape run primed with the live
-/// (lane-0) values counts exactly what the bytecode engine would, while the
-/// engine itself drives the real state.
+/// Scalar scratch state for counting under every engine that does not run
+/// the full scalar tapes live (tree-walk, event, batched): a full-tape run
+/// primed with the live (lane-0) values counts exactly what the bytecode
+/// engine would, while the engine itself drives the real state — so the
+/// engine's own dispatch is the same with telemetry on or off.
 struct Scratch {
     regs: Vec<u64>,
     values: Vec<u64>,
@@ -4029,27 +3731,15 @@ impl Simulator {
             toggle_cycles: vec![0; self.values.len()],
             bit_toggles: vec![0; self.values.len()],
             high_cycles: vec![0; self.values.len()],
-            high_since: vec![0; self.values.len()],
             cycles: 0,
             settle_cones,
             step_cones,
             mems_written: vec![false; self.memories.len()],
             settle: PerPc::new(self.settle_tape.len()),
             step: PerPc::new(self.step_tape.len()),
-            settle_extra: Totals::default(),
-            step_extra: Totals::default(),
             scratch,
             record_trace,
         }));
-        if let Some(ev) = self.ev.as_deref_mut() {
-            ev.track = self.engine == Engine::Event;
-            for s in &mut ev.settle_stale {
-                *s = true;
-            }
-            for s in &mut ev.step_stale {
-                *s = true;
-            }
-        }
     }
 
     /// Whether the telemetry plane is active.
@@ -4068,14 +3758,7 @@ impl Simulator {
                 width: self.net_width[i],
                 toggle_cycles: t.toggle_cycles[i],
                 bit_toggles: t.bit_toggles[i],
-                // Credit the still-open run of unchanged cycles (lazy high
-                // accounting; see `Telemetry::high_since`).
-                high_cycles: t.high_cycles[i]
-                    + if t.prev[i] != 0 {
-                        t.cycles - t.high_since[i]
-                    } else {
-                        0
-                    },
+                high_cycles: t.high_cycles[i],
             })
             .collect();
         let cone_report = |cones: &[Cone]| {
@@ -4089,22 +3772,18 @@ impl Simulator {
                 })
                 .collect()
         };
-        let insn_report = |tape: &[Insn], per_pc: &PerPc, extra: Totals| {
-            let mut total = per_pc.totals();
-            total += extra;
-            InsnTelemetry {
-                len: tape.len() as u64,
-                executed: total.executed,
-                changed: total.changed,
-            }
+        let insn_report = |tape: &[Insn], per_pc: &PerPc| InsnTelemetry {
+            len: tape.len() as u64,
+            executed: per_pc.exec.iter().sum(),
+            changed: per_pc.changed.iter().sum(),
         };
         Some(TelemetryReport {
             cycles: t.cycles,
             nets,
             settle_cones: cone_report(&t.settle_cones),
             step_cones: cone_report(&t.step_cones),
-            settle_insns: insn_report(&self.settle_tape, &t.settle, t.settle_extra),
-            step_insns: insn_report(&self.step_tape, &t.step, t.step_extra),
+            settle_insns: insn_report(&self.settle_tape, &t.settle),
+            step_insns: insn_report(&self.step_tape, &t.step),
             units: Vec::new(),
         })
     }
@@ -4279,19 +3958,19 @@ impl Simulator {
                 rep.mem_wake_walk = es.mem_wake_walk.clone();
                 rep.settle_run_len = es.settle_run_len.clone();
                 rep.step_run_len = es.step_run_len.clone();
-                // Attribute scheduler-unit wakes to the coarse telemetry
-                // cones so the report joins with `telemetry_report`.
-                let mut cone_wakes = vec![0u64; settle_cones.len()];
-                for (u, &w) in es.settle_unit_wakes.iter().enumerate() {
-                    cone_wakes[ev.settle_unit_cone[u] as usize] += w;
-                }
+                // Attribute scheduler-unit wakes (unit = assign) to the
+                // coarse telemetry cones so the report joins with
+                // `telemetry_report`.
                 rep.settle_cones = settle_cones
                     .iter()
-                    .zip(&cone_wakes)
-                    .map(|(c, &w)| SchedConeWakes {
+                    .map(|c| SchedConeWakes {
                         cone: c.name.clone(),
                         units: u64::from(c.units),
-                        wakes: w,
+                        wakes: c
+                            .members
+                            .iter()
+                            .map(|&a| es.settle_unit_wakes[a as usize])
+                            .sum(),
                     })
                     .collect();
                 rep.step_cones = step_cones
@@ -5019,10 +4698,14 @@ mod tests {
 
     #[test]
     fn sched_stats_json_is_deterministic_across_runs() {
-        let run = |engine: Engine| {
+        // Planes are enabled in `hirc`'s order: telemetry, then sched stats.
+        let run_with = |engine: Engine, telemetry: bool| {
             let d = mx_design();
             let mut sim = Simulator::new(&d, "mx").expect("build");
             sim.set_engine(engine);
+            if telemetry {
+                sim.enable_telemetry(false);
+            }
             sim.enable_sched_stats();
             for cyc in 0..32u64 {
                 sim.set("we", cyc % 2);
@@ -5033,8 +4716,16 @@ mod tests {
             }
             sim.sched_stats_report().expect("enabled").to_json()
         };
+        let run = |engine: Engine| run_with(engine, false);
         for engine in [Engine::Bytecode, Engine::Event, Engine::Batched] {
             assert_eq!(run(engine), run(engine), "{engine:?}");
+            // Telemetry is a pure observer: it must not change which units
+            // the scheduler dispatches or how it coalesces them.
+            assert_eq!(
+                run(engine),
+                run_with(engine, true),
+                "{engine:?}: sched stats moved when telemetry was enabled"
+            );
         }
         // The event engine's commit plane compares exactly what the
         // full-tape engine commits (same pending updates), so the
