@@ -13,18 +13,54 @@
 
 use crate::sat::{Lit, Solver};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A word value: literals, least significant bit first.
 pub type BV = Vec<Lit>;
+
+/// Multiplicative (Fx-style) hasher for the gate caches. Their keys are
+/// literals the blaster allocated itself, never outside input, so the
+/// collision resistance of the default SipHash buys nothing and its cost
+/// is paid on millions of lookups per miter.
+#[derive(Default)]
+struct GateHasher(u64);
+
+impl GateHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type GateMap<K> = HashMap<K, Lit, BuildHasherDefault<GateHasher>>;
 
 /// Bit-blasting context. `solver` is public so callers can run queries and
 /// read models directly.
 pub struct Blaster {
     pub solver: Solver,
     tru: Lit,
-    and_cache: HashMap<(Lit, Lit), Lit>,
-    xor_cache: HashMap<(Lit, Lit), Lit>,
-    ite_cache: HashMap<(Lit, Lit, Lit), Lit>,
+    and_cache: GateMap<(Lit, Lit)>,
+    xor_cache: GateMap<(Lit, Lit)>,
+    ite_cache: GateMap<(Lit, Lit, Lit)>,
     /// Structural-hash statistics: gate lookups served from a cache vs
     /// gates that allocated a fresh variable and clauses.
     pub cache_hits: u64,
@@ -45,9 +81,9 @@ impl Blaster {
         Blaster {
             solver,
             tru: t,
-            and_cache: HashMap::new(),
-            xor_cache: HashMap::new(),
-            ite_cache: HashMap::new(),
+            and_cache: GateMap::default(),
+            xor_cache: GateMap::default(),
+            ite_cache: GateMap::default(),
             cache_hits: 0,
             cache_misses: 0,
         }

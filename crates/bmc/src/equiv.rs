@@ -394,8 +394,7 @@ fn step_side(
     }
 
     // 2. Evaluate the design's combinational cone.
-    let state = side.state.clone();
-    let frame = eval_frame(bl, side.ts, &state, &inputs);
+    let frame = eval_frame(bl, side.ts, &side.state, &inputs);
 
     // 3. Zero-latency reads: the read data the design consumed this cycle
     //    must equal the current memory word at the bus address (the harness
@@ -404,8 +403,7 @@ fn step_side(
     for (mi, b, fresh) in latency0_frees {
         let em = &env.mems[mi];
         let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
-        let addr = frame.get(addr_id).clone();
-        let served = read_word(bl, &side.mem_words[mi], em, b, &addr);
+        let served = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
         let served = bl.bv_fit(&served, fresh.len() as u32);
         let eq = bl.bv_eq(&fresh, &served);
         bl.assert_true(eq);
@@ -421,11 +419,10 @@ fn step_side(
             let en_id = side.net(&bus(&em.base, b, em.banks, "rd_en"))?;
             let addr_id = side.net(&bus(&em.base, b, em.banks, "addr"))?;
             let en = frame.get(en_id)[0];
-            let addr = frame.get(addr_id).clone();
-            let word = read_word(bl, &side.mem_words[mi], em, b, &addr);
-            let cur = side.rd_data[mi][b as usize].clone();
+            let word = read_word(bl, &side.mem_words[mi], em, b, frame.get(addr_id));
+            let cur = &mut side.rd_data[mi][b as usize];
             let word = bl.bv_fit(&word, cur.len() as u32);
-            side.rd_data[mi][b as usize] = bl.bv_ite(en, &word, &cur);
+            *cur = bl.bv_ite(en, &word, cur);
         }
     }
 
@@ -440,18 +437,17 @@ fn step_side(
             let addr_id = side.net(&bus(&em.base, b, em.banks, "waddr"))?;
             let data_id = side.net(&bus(&em.base, b, em.banks, "wr_data"))?;
             let en = frame.get(en_id)[0];
-            let addr = frame.get(addr_id).clone();
-            let data = frame.get(data_id).clone();
-            let data = bl.bv_fit(&data, em.elem_width);
+            let addr = frame.get(addr_id);
+            let data = bl.bv_fit(frame.get(data_id), em.elem_width);
             let lo = b * em.bank_size;
             let hi =
                 (lo + reachable(em.total_words.saturating_sub(lo), addr.len())).min(em.total_words);
             for j in lo..hi {
                 let off = bl.bv_const(j - lo, addr.len() as u32);
-                let hit = bl.bv_eq(&addr, &off);
+                let hit = bl.bv_eq(addr, &off);
                 let hit = bl.and(en, hit);
-                let old = side.mem_words[mi][j as usize].clone();
-                side.mem_words[mi][j as usize] = bl.bv_ite(hit, &data, &old);
+                let word = &mut side.mem_words[mi][j as usize];
+                *word = bl.bv_ite(hit, &data, word);
             }
         }
     }
@@ -474,13 +470,13 @@ fn observe_diff(
     for i in 0..env.result_count {
         let va = fa.get(a.net(&format!("result{i}_valid"))?)[0];
         let vb = fb.get(b.net(&format!("result{i}_valid"))?)[0];
-        let ra = fa.get(a.net(&format!("result{i}"))?).clone();
-        let rb = fb.get(b.net(&format!("result{i}"))?).clone();
+        let ra = fa.get(a.net(&format!("result{i}"))?);
+        let rb = fb.get(b.net(&format!("result{i}"))?);
         let valid_mismatch = bl.xor(va, vb);
         diff = bl.or(diff, valid_mismatch);
         let w = ra.len().max(rb.len()) as u32;
-        let ra = bl.bv_fit(&ra, w);
-        let rb = bl.bv_fit(&rb, w);
+        let ra = bl.bv_fit(ra, w);
+        let rb = bl.bv_fit(rb, w);
         let value_mismatch = bl.bv_eq(&ra, &rb).flip();
         let observed_mismatch = bl.and(va, value_mismatch);
         diff = bl.or(diff, observed_mismatch);
@@ -489,8 +485,7 @@ fn observe_diff(
     // same literals on both sides and fold away for free.
     for (mi, _) in env.mems.iter().enumerate() {
         for (wa, wb) in a.mem_words[mi].iter().zip(&b.mem_words[mi]) {
-            let (wa, wb) = (wa.clone(), wb.clone());
-            let ne = bl.bv_eq(&wa, &wb).flip();
+            let ne = bl.bv_eq(wa, wb).flip();
             diff = bl.or(diff, ne);
         }
     }
@@ -567,14 +562,16 @@ pub fn check_func_equivalence(
     let mut side_a = make_side(&bl, &ts_a, &env, &init_words);
     let mut side_b = make_side(&bl, &ts_b, &env, &init_words);
 
-    let report =
-        |status: EquivStatus, bl: &Blaster, phases: &PhaseMs, frames: &[FrameStats]| FuncReport {
+    // Consumes the blaster so that `time_ms` includes its teardown, which
+    // no phase covers: `time_ms` minus the phase sum is that teardown.
+    let report = |status: EquivStatus, bl: Blaster, phases: &PhaseMs, frames: Vec<FrameStats>| {
+        let mut report = FuncReport {
             func: func_name.to_string(),
             k: opts.k_cycles,
             status,
             conflicts: bl.solver.conflicts - start_conflicts,
             vars: bl.solver.num_vars(),
-            time_ms: started.elapsed().as_millis() as u64,
+            time_ms: 0,
             solver: SolverStats {
                 conflicts: bl.solver.conflicts - start_conflicts,
                 decisions: bl.solver.decisions,
@@ -586,13 +583,17 @@ pub fn check_func_equivalence(
                 blast_cache_misses: bl.cache_misses,
                 clauses: bl.solver.num_clauses() as u64,
                 vars: u64::from(bl.solver.num_vars()),
-                frames: frames.to_vec(),
+                frames,
                 lower_ms: phases.lower,
                 blast_ms: phases.blast,
                 solve_ms: phases.solve,
                 replay_ms: phases.replay,
             },
         };
+        drop(bl);
+        report.time_ms = started.elapsed().as_millis() as u64;
+        report
+    };
 
     let mut frames: Vec<FrameStats> = Vec::new();
     // CNF-size baseline per frame, re-snapshotted after each solve so the
@@ -656,7 +657,7 @@ pub fn check_func_equivalence(
                 };
                 drop(_rsp);
                 phases.replay += replay_started.elapsed().as_millis() as u64;
-                return Ok(report(status, &bl, &phases, &frames));
+                return Ok(report(status, bl, &phases, frames));
             }
             SatResult::Unknown => {
                 let reason = format!(
@@ -670,11 +671,11 @@ pub fn check_func_equivalence(
                     sampled_fallback(unopt, opt, func_name, opts, reason)?
                 };
                 phases.replay += replay_started.elapsed().as_millis() as u64;
-                return Ok(report(st, &bl, &phases, &frames));
+                return Ok(report(st, bl, &phases, frames));
             }
         }
     }
-    Ok(report(EquivStatus::Proved, &bl, &phases, &frames))
+    Ok(report(EquivStatus::Proved, bl, &phases, frames))
 }
 
 /// Wall-clock accumulators per proof phase, in milliseconds.

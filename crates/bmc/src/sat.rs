@@ -11,6 +11,19 @@
 //! conflict budget and an optional wall-clock deadline and returns
 //! [`SatResult::Unknown`] when exceeded — budget exhaustion is a first-class
 //! outcome the callers must surface, never an error.
+//!
+//! Storage is laid out for miters of millions of clauses:
+//!
+//! * **Order heap.** Decisions pop the unassigned variable with the highest
+//!   activity, the lowest index winning ties, from a binary max-heap keyed
+//!   on exactly that order. Bumps sift up, backtracking reinserts the
+//!   variables it unassigns, and the rare 1e100 rescale re-heapifies. The
+//!   pick is the one a linear scan over all variables would make (debug
+//!   builds check that at every decision), so the search path — and every
+//!   counter in the equivalence reports — is independent of the heap.
+//! * **Literal pool.** Every clause is a `(start, len)` range of one flat
+//!   literal vector, appended in clause order; learnt-clause reduction
+//!   compacts the pool in place. No clause owns an allocation.
 
 use std::time::Instant;
 
@@ -103,11 +116,19 @@ enum Assign {
     False,
 }
 
+/// A clause: the range `start..start + len` of [`Solver::lits`].
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     /// Move-to-front score for learnt-clause reduction.
     activity: f64,
+}
+
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
 }
 
 /// Watcher entry: clause index plus the blocking literal fast path.
@@ -117,10 +138,115 @@ struct Watch {
     blocker: Lit,
 }
 
+/// Binary max-heap of variables ordered by activity, the lowest index first
+/// among equal activities. Every comparison reads the activities passed in,
+/// so the caller must re-establish the order ([`OrderHeap::increased`],
+/// [`OrderHeap::rebuild`]) after changing them.
+#[derive(Default)]
+struct OrderHeap {
+    heap: Vec<u32>,
+    /// Position of each variable in `heap`, or `NOT_IN_HEAP`.
+    pos: Vec<u32>,
+}
+
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+impl OrderHeap {
+    /// Whether `a` is picked before `b`.
+    fn before(act: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (act[a as usize], act[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn insert(&mut self, v: u32, act: &[f64]) {
+        if self.pos.len() <= v as usize {
+            self.pos.resize(v as usize + 1, NOT_IN_HEAP);
+        }
+        if self.pos[v as usize] == NOT_IN_HEAP {
+            self.pos[v as usize] = self.heap.len() as u32;
+            self.heap.push(v);
+            self.sift_up(self.heap.len() - 1, act);
+        }
+    }
+
+    /// Restore `v`'s position after its activity grew.
+    fn increased(&mut self, v: u32, act: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != NOT_IN_HEAP {
+            self.sift_up(i as usize, act);
+        }
+    }
+
+    /// Remove and return the first variable in order.
+    fn pop(&mut self, act: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty heap");
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last as usize] = 0;
+            self.sift_down(0, act);
+        }
+        Some(top)
+    }
+
+    /// Re-heapify after activities changed in ways that may reorder them.
+    fn rebuild(&mut self, act: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, act);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(act, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.pos[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, act: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(act, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(act, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.pos[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+}
+
 /// The solver.
 pub struct Solver {
     num_vars: u32,
     clauses: Vec<Clause>,
+    /// The literal pool every [`Clause`] indexes into, in clause order.
+    lits: Vec<Lit>,
     /// Indexed by `Lit.0`: clauses watching that literal.
     watches: Vec<Vec<Watch>>,
     assigns: Vec<Assign>,
@@ -137,6 +263,11 @@ pub struct Solver {
     /// VSIDS activity per variable, plus the additive bump.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision candidates: every unassigned variable, plus assigned ones
+    /// not yet popped.
+    order: OrderHeap,
+    /// Per-variable mark for [`Solver::analyze`]; all false between calls.
+    seen: Vec<bool>,
     /// Empty clause added → permanently unsat.
     unsat: bool,
     /// Statistics over the solver's lifetime.
@@ -163,6 +294,7 @@ impl Solver {
         Solver {
             num_vars: 0,
             clauses: Vec::new(),
+            lits: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -173,6 +305,8 @@ impl Solver {
             prop_head: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: OrderHeap::default(),
+            seen: Vec::new(),
             unsat: false,
             conflicts: 0,
             decisions: 0,
@@ -194,6 +328,8 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
+        self.seen.push(false);
+        self.order.insert(v, &self.activity);
         v
     }
 
@@ -236,29 +372,32 @@ impl Solver {
         if self.unsat {
             return false;
         }
-        // Simplify: drop duplicate/false literals, detect tautology.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Simplify in place at the pool's tail: drop duplicate/false
+        // literals, detect tautology.
+        let start = self.lits.len();
         for &l in lits {
             debug_assert!(l.var() < self.num_vars, "literal for unallocated var");
-            match self.value(l) {
-                Assign::True => return true, // satisfied at level 0
+            let redundant = match self.value(l) {
+                Assign::True => true, // satisfied at level 0
                 Assign::False => continue,
-                Assign::Unset => {}
+                Assign::Unset => self.lits[start..].contains(&l.flip()), // tautology
+            };
+            if redundant {
+                self.lits.truncate(start);
+                return true;
             }
-            if c.contains(&l.flip()) {
-                return true; // tautology
-            }
-            if !c.contains(&l) {
-                c.push(l);
+            if !self.lits[start..].contains(&l) {
+                self.lits.push(l);
             }
         }
-        match c.len() {
+        match self.lits.len() - start {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(c[0], NO_REASON);
+                let unit = self.lits.pop().expect("one simplified literal");
+                self.enqueue(unit, NO_REASON);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -267,24 +406,29 @@ impl Solver {
                 }
             }
             _ => {
-                self.attach(c, false);
+                self.attach(start, false);
                 true
             }
         }
     }
 
-    fn attach(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Turn the pool's tail `lits[start..]` (at least two literals) into a
+    /// clause and watch its first two literals.
+    fn attach(&mut self, start: usize, learnt: bool) -> u32 {
         let idx = self.clauses.len() as u32;
-        self.watches[lits[0].flip().0 as usize].push(Watch {
+        let (l0, l1) = (self.lits[start], self.lits[start + 1]);
+        self.watches[l0.flip().0 as usize].push(Watch {
             clause: idx,
-            blocker: lits[1],
+            blocker: l1,
         });
-        self.watches[lits[1].flip().0 as usize].push(Watch {
+        self.watches[l1.flip().0 as usize].push(Watch {
             clause: idx,
-            blocker: lits[0],
+            blocker: l0,
         });
+        let end = u32::try_from(self.lits.len()).expect("literal pool exceeds u32 range");
         self.clauses.push(Clause {
-            lits,
+            start: start as u32,
+            len: end - start as u32,
             learnt,
             activity: 0.0,
         });
@@ -320,14 +464,14 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                let ci = w.clause as usize;
+                let c = self.clauses[w.clause as usize].range();
                 // Normalize: watched literal we're processing at slot 1.
                 let false_lit = l.flip();
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                if self.lits[c.start] == false_lit {
+                    self.lits.swap(c.start, c.start + 1);
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                debug_assert_eq!(self.lits[c.start + 1], false_lit);
+                let first = self.lits[c.start];
                 if first != w.blocker && self.value(first) == Assign::True {
                     ws[i] = Watch {
                         clause: w.clause,
@@ -338,10 +482,10 @@ impl Solver {
                 }
                 // Look for a non-false literal to watch instead.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    if self.value(self.clauses[ci].lits[k]) != Assign::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        let nw = self.clauses[ci].lits[1];
+                for k in c.start + 2..c.end {
+                    if self.value(self.lits[k]) != Assign::False {
+                        self.lits.swap(c.start + 1, k);
+                        let nw = self.lits[c.start + 1];
                         self.watches[nw.flip().0 as usize].push(Watch {
                             clause: w.clause,
                             blocker: first,
@@ -376,6 +520,11 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Scaling keeps the order except where small activities collapse
+            // onto the same value; the index tie-break then reorders them.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
@@ -383,7 +532,6 @@ impl Solver {
     /// asserting literal is first.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot for the UIP
-        let mut seen = vec![false; self.num_vars as usize];
         let mut counter = 0u32;
         let mut confl = confl as usize;
         let mut trail_idx = self.trail.len();
@@ -392,11 +540,10 @@ impl Solver {
         let mut uip = Lit(0);
         loop {
             self.clauses[confl].activity += 1.0;
-            let lits_len = self.clauses[confl].lits.len();
-            for k in 0..lits_len {
-                let q = self.clauses[confl].lits[k];
+            for k in self.clauses[confl].range() {
+                let q = self.lits[k];
                 let v = q.var() as usize;
-                if seen[v] || self.level[v] == 0 {
+                if self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
                 // Skip the literal currently being resolved (it is assigned
@@ -404,7 +551,7 @@ impl Solver {
                 if self.value(q) == Assign::True {
                     continue;
                 }
-                seen[v] = true;
+                self.seen[v] = true;
                 self.bump_var(q.var());
                 if self.level[v] == cur_level {
                     counter += 1;
@@ -415,12 +562,12 @@ impl Solver {
             // Pick the next current-level literal off the trail.
             loop {
                 trail_idx -= 1;
-                if seen[self.trail[trail_idx].var() as usize] {
+                if self.seen[self.trail[trail_idx].var() as usize] {
                     break;
                 }
             }
             uip = self.trail[trail_idx];
-            seen[uip.var() as usize] = false;
+            self.seen[uip.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -428,6 +575,11 @@ impl Solver {
             confl = self.reason[uip.var() as usize] as usize;
         }
         learnt[0] = uip.flip();
+        // Every current-level mark was cleared as its literal was resolved;
+        // the lower-level ones are exactly the learnt clause's tail.
+        for l in &learnt[1..] {
+            self.seen[l.var() as usize] = false;
+        }
         // Backtrack level: highest level among the other literals.
         let bt = learnt[1..]
             .iter()
@@ -454,6 +606,7 @@ impl Solver {
             for &l in &self.trail[lim..] {
                 self.assigns[l.var() as usize] = Assign::Unset;
                 self.reason[l.var() as usize] = NO_REASON;
+                self.order.insert(l.var(), &self.activity);
             }
             self.trail.truncate(lim);
         }
@@ -466,7 +619,7 @@ impl Solver {
     fn reduce_learnts(&mut self) {
         debug_assert!(self.trail_lim.is_empty());
         let mut learnt_idx: Vec<usize> = (0..self.clauses.len())
-            .filter(|&i| self.clauses[i].learnt && self.clauses[i].lits.len() > 2)
+            .filter(|&i| self.clauses[i].learnt && self.clauses[i].len > 2)
             .collect();
         if learnt_idx.len() < 64 {
             return;
@@ -492,17 +645,24 @@ impl Solver {
         if drop.is_empty() {
             return;
         }
-        // Compact the clause database and remap indices.
+        // Compact the clause database and the literal pool (clauses sit in
+        // the pool in index order, so survivors only move down), and remap
+        // indices.
         let mut remap = vec![NO_REASON; self.clauses.len()];
         let mut kept: Vec<Clause> = Vec::with_capacity(self.clauses.len() - drop.len());
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
+        let mut tail = 0u32;
+        for (i, mut c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
             if drop.contains(&i) {
                 continue;
             }
             remap[i] = kept.len() as u32;
+            self.lits.copy_within(c.range(), tail as usize);
+            c.start = tail;
+            tail += c.len;
             kept.push(c);
         }
         self.clauses = kept;
+        self.lits.truncate(tail as usize);
         for r in &mut self.reason {
             if *r != NO_REASON {
                 *r = remap[*r as usize];
@@ -513,13 +673,14 @@ impl Solver {
             w.clear();
         }
         for (i, c) in self.clauses.iter().enumerate() {
-            self.watches[c.lits[0].flip().0 as usize].push(Watch {
+            let (l0, l1) = (self.lits[c.start as usize], self.lits[c.start as usize + 1]);
+            self.watches[l0.flip().0 as usize].push(Watch {
                 clause: i as u32,
-                blocker: c.lits[1],
+                blocker: l1,
             });
-            self.watches[c.lits[1].flip().0 as usize].push(Watch {
+            self.watches[l1.flip().0 as usize].push(Watch {
                 clause: i as u32,
-                blocker: c.lits[0],
+                blocker: l0,
             });
         }
         // The rebuilt watches may sit on literals that are already false;
@@ -544,18 +705,16 @@ impl Solver {
         1u64 << (k - 1)
     }
 
-    /// Decide: pick the unassigned variable with highest activity, assign
-    /// its saved phase.
+    /// Decide: pick the unassigned variable with highest activity (lowest
+    /// index on ties), assign its saved phase.
     fn decide(&mut self) -> bool {
-        let mut best: Option<u32> = None;
-        for v in 0..self.num_vars {
-            if self.assigns[v as usize] == Assign::Unset {
-                match best {
-                    Some(b) if self.activity[b as usize] >= self.activity[v as usize] => {}
-                    _ => best = Some(v),
-                }
+        let best = loop {
+            match self.order.pop(&self.activity) {
+                Some(v) if self.assigns[v as usize] != Assign::Unset => {}
+                other => break other,
             }
-        }
+        };
+        debug_assert_eq!(best, self.scan_best(), "order heap disagrees with scan");
         let Some(v) = best else {
             return false;
         };
@@ -569,6 +728,21 @@ impl Solver {
         };
         self.enqueue(l, NO_REASON);
         true
+    }
+
+    /// The reference pick for [`Solver::decide`]: a linear scan for the
+    /// unassigned variable of highest activity, the lowest index on ties.
+    fn scan_best(&self) -> Option<u32> {
+        let mut best: Option<u32> = None;
+        for v in 0..self.num_vars {
+            if self.assigns[v as usize] == Assign::Unset {
+                match best {
+                    Some(b) if self.activity[b as usize] >= self.activity[v as usize] => {}
+                    _ => best = Some(v),
+                }
+            }
+        }
+        best
     }
 
     /// Solve under assumptions. The model (for Sat) is readable via
@@ -637,7 +811,9 @@ impl Solver {
                             self.enqueue(learnt[0], NO_REASON);
                         }
                     } else {
-                        let ci = self.attach(learnt.clone(), true);
+                        let start = self.lits.len();
+                        self.lits.extend_from_slice(&learnt);
+                        let ci = self.attach(start, true);
                         if self.value(learnt[0]) == Assign::Unset {
                             self.enqueue(learnt[0], ci);
                         }
@@ -695,7 +871,7 @@ impl Solver {
             out.push_str(&format!("{} 0\n", self.trail[i].dimacs()));
         }
         for c in self.clauses.iter().filter(|c| !c.learnt) {
-            for &l in &c.lits {
+            for &l in &self.lits[c.range()] {
                 out.push_str(&format!("{} ", l.dimacs()));
             }
             out.push_str("0\n");
@@ -910,6 +1086,62 @@ mod tests {
             Solver::from_dimacs("p cnf 1 1\n5 0\n").is_err(),
             "var beyond p"
         );
+    }
+
+    /// Decide once and check the heap's pick against the linear scan.
+    fn pick(s: &mut Solver) -> u32 {
+        let expect = s.scan_best().expect("an unassigned variable");
+        assert!(s.decide());
+        let v = s.trail.last().expect("decision on the trail").var();
+        assert_eq!(v, expect, "heap pick differs from the linear scan");
+        v
+    }
+
+    #[test]
+    fn order_heap_picks_what_the_scan_picks() {
+        let mut s = solver_with(8, &[]);
+        // Equal activities: the lowest index wins.
+        assert_eq!(pick(&mut s), 0);
+        s.backtrack_to(0);
+        s.bump_var(5);
+        s.bump_var(3);
+        assert_eq!(pick(&mut s), 3);
+        s.bump_var(5);
+        assert_eq!(pick(&mut s), 5);
+        assert_eq!(pick(&mut s), 0);
+        s.backtrack_to(0);
+        assert_eq!(pick(&mut s), 5, "backtracking reinserts unassigned vars");
+
+        // The 1e100 rescale flushes tiny activities to zero, so var 4 drops
+        // from first place into a tie that the lowest index (0) wins.
+        let mut s = solver_with(8, &[]);
+        s.var_inc = 1e-250;
+        s.bump_var(6);
+        s.bump_var(6);
+        s.bump_var(4);
+        assert_eq!(pick(&mut s), 6);
+        s.var_inc = 1e101;
+        s.bump_var(6);
+        assert_eq!(s.activity[4], 0.0, "rescale underflowed");
+        assert_eq!(pick(&mut s), 0);
+
+        // Pseudo-random bumps, rescales, decisions and backtracks.
+        let mut s = solver_with(64, &[]);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 8 {
+                0..=3 => s.bump_var((x >> 8) as u32 % 64),
+                4 if x >> 8 & 63 == 0 => s.var_inc *= 1e30,
+                5 if s.trail.len() < 64 => {
+                    pick(&mut s);
+                }
+                6 => s.backtrack_to((x >> 8) as u32 % (s.trail_lim.len() as u32 + 1)),
+                _ => {}
+            }
+        }
     }
 
     #[test]

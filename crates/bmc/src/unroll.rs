@@ -34,52 +34,45 @@ pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs:
                 debug_assert_eq!(state[*index as usize].len(), *width as usize);
                 state[*index as usize].clone()
             }
-            Node::Not { a, .. } => {
-                let a = values[*a as usize].clone();
-                bl.bv_not(&a)
-            }
+            Node::Not { a, .. } => bl.bv_not(&values[*a as usize]),
             Node::RedOr { a } => {
-                let a = values[*a as usize].clone();
                 let mut acc = bl.fals();
-                for &l in &a {
+                for &l in &values[*a as usize] {
                     acc = bl.or(acc, l);
                 }
                 vec![acc]
             }
             Node::Binary { op, a, b, .. } => {
-                let a = values[*a as usize].clone();
-                let b = values[*b as usize].clone();
+                let (a, b) = (&values[*a as usize], &values[*b as usize]);
                 match op {
-                    TOp::Add => bl.bv_add(&a, &b),
-                    TOp::Sub => bl.bv_sub(&a, &b),
-                    TOp::Mul => bl.bv_mul(&a, &b),
-                    TOp::And => bl.bv_and(&a, &b),
-                    TOp::Or => bl.bv_or(&a, &b),
-                    TOp::Xor => bl.bv_xor(&a, &b),
-                    TOp::Sll => bl.bv_sll(&a, &b),
-                    TOp::Srl => bl.bv_srl(&a, &b),
-                    TOp::Sra => bl.bv_sra(&a, &b),
-                    TOp::Eq => vec![bl.bv_eq(&a, &b)],
-                    TOp::Ne => vec![bl.bv_eq(&a, &b).flip()],
-                    TOp::Ult => vec![bl.bv_ult(&a, &b)],
-                    TOp::Ule => vec![bl.bv_ule(&a, &b)],
-                    TOp::Slt => vec![bl.bv_slt(&a, &b)],
-                    TOp::Sle => vec![bl.bv_sle(&a, &b)],
+                    TOp::Add => bl.bv_add(a, b),
+                    TOp::Sub => bl.bv_sub(a, b),
+                    TOp::Mul => bl.bv_mul(a, b),
+                    TOp::And => bl.bv_and(a, b),
+                    TOp::Or => bl.bv_or(a, b),
+                    TOp::Xor => bl.bv_xor(a, b),
+                    TOp::Sll => bl.bv_sll(a, b),
+                    TOp::Srl => bl.bv_srl(a, b),
+                    TOp::Sra => bl.bv_sra(a, b),
+                    TOp::Eq => vec![bl.bv_eq(a, b)],
+                    TOp::Ne => vec![bl.bv_eq(a, b).flip()],
+                    TOp::Ult => vec![bl.bv_ult(a, b)],
+                    TOp::Ule => vec![bl.bv_ule(a, b)],
+                    TOp::Slt => vec![bl.bv_slt(a, b)],
+                    TOp::Sle => vec![bl.bv_sle(a, b)],
                 }
             }
             Node::Ite { cond, t, e, .. } => {
                 let c = values[*cond as usize][0];
-                let t = values[*t as usize].clone();
-                let e = values[*e as usize].clone();
-                bl.bv_ite(c, &t, &e)
+                bl.bv_ite(c, &values[*t as usize], &values[*e as usize])
             }
             Node::Slice { a, hi, lo } => values[*a as usize][*lo as usize..=*hi as usize].to_vec(),
             Node::Ext { a, width, signed } => {
-                let a = values[*a as usize].clone();
+                let a = &values[*a as usize];
                 if *signed {
-                    bl.bv_sext(&a, *width)
+                    bl.bv_sext(a, *width)
                 } else {
-                    bl.bv_fit(&a, *width)
+                    bl.bv_fit(a, *width)
                 }
             }
             Node::Concat { hi, lo, .. } => {

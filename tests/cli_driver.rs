@@ -629,6 +629,65 @@ fn verify_equiv_refutes_miscompile_and_harvests_regression() {
     );
 }
 
+/// Zero the wall-clock fields of an equivalence report (`time_ms` and the
+/// `phase_ms` entries); every other field is deterministic.
+fn mask_equiv_times(json: &str) -> String {
+    let mut out = json.to_string();
+    for key in [
+        "\"time_ms\":",
+        "\"lower\":",
+        "\"blast\":",
+        "\"solve\":",
+        "\"replay\":",
+    ] {
+        let mut masked = String::with_capacity(out.len());
+        let mut rest = out.as_str();
+        while let Some(at) = rest.find(key) {
+            let value = &rest[at + key.len()..];
+            let digits = value.len() - value.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            masked.push_str(&rest[..at + key.len()]);
+            masked.push('0');
+            rest = &value[digits..];
+        }
+        masked.push_str(rest);
+        out = masked;
+    }
+    out
+}
+
+#[test]
+fn verify_equiv_miscompile_report_matches_golden_search_path() {
+    // The golden pins the solver's whole search on the negative control:
+    // decisions, conflicts, propagations, the decision-depth and
+    // learnt-length histograms, and the replayed divergence. Any change to
+    // branching order or clause layout shows up here.
+    let golden = include_str!("golden/mac-miscompile.equiv.json");
+    let dir = std::env::temp_dir().join("hirc_test_equiv_golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("miscompile-equiv.json");
+    let out = hirc()
+        .arg(example("mac.mlir"))
+        .arg("--pipeline=test-miscompile")
+        .arg("--verify-equiv")
+        .arg(format!("--verify-equiv-report={}", report.display()))
+        .arg("-o")
+        .arg(dir.join("t.v"))
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {err}");
+    assert!(
+        err.contains("counterexample stimulus for @mac: 0, 0, -1073741824"),
+        "{err}"
+    );
+    let json = std::fs::read_to_string(&report).unwrap();
+    assert_eq!(
+        mask_equiv_times(&json),
+        golden,
+        "search path drifted from tests/golden/mac-miscompile.equiv.json"
+    );
+}
+
 #[test]
 fn verify_equiv_budget_exhaustion_degrades_loudly() {
     let dir = std::env::temp_dir().join("hirc_test_equiv_budget");
