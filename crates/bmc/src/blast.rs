@@ -1,27 +1,42 @@
-//! Tseitin bit-blasting: word-level values as vectors of SAT literals.
+//! Bit-blasting onto a hash-consed AIG, with CNF built on demand.
 //!
-//! A [`Blaster`] owns the [`Solver`] plus gate caches. Every gate
-//! constructor folds constants and structurally identical operands before
-//! allocating a variable, and the caches are global across everything built
-//! on one blaster — when the optimized and unoptimized sides of a miter
-//! compute the same function of the same inputs, they collapse to the *same
-//! literal* and their disagreement literal folds to false without the
-//! solver ever seeing a clause. This lightweight structural sweeping is
-//! what keeps K-cycle miters of mostly-similar designs tractable.
+//! A [`Blaster`] lowers bit-vector operations to single-bit gates
+//! (`and`/`xor`/`ite`) in one append-only arena. Every gate constructor
+//! folds constants and normalizes its operands, then hash-conses the gate,
+//! and the arena is global across everything built on one blaster — when
+//! the optimized and unoptimized sides of a miter compute the same function
+//! of the same inputs, they collapse to the *same literal* and their
+//! disagreement literal folds to false. This lightweight structural
+//! sweeping is what keeps K-cycle miters of mostly-similar designs
+//! tractable.
+//!
+//! Building a gate creates no solver variable and no clause. CNF is built
+//! on demand: a query ([`Blaster::solve`]) or a root constraint
+//! ([`Blaster::assert_true`]) Tseitin-encodes the not-yet-encoded part of
+//! its literal's cone, so gates no query reaches never reach the solver.
+//! This is the AIG-plus-lazy-CNF layout of
+//! ABC-style equivalence checkers (Mishchenko et al., "FRAIGs", 2005).
+//! Every root constraint is encoded when it is asserted, so an UNSAT answer
+//! holds for the whole AIG, not just the encoded part.
+//!
+//! A literal ([`Lit`]) names an AIG node, not a solver variable: node 0 is
+//! constant true, node ids are allocated in construction order (so a gate's
+//! operands always have smaller ids), and a node's solver variable is
+//! allocated only when the node is first encoded.
 //!
 //! Bit vectors ([`BV`]) are LSB-first.
 
-use crate::sat::{Lit, Solver};
+use crate::sat::{Budget, Lit, SatResult, Solver};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A word value: literals, least significant bit first.
 pub type BV = Vec<Lit>;
 
-/// Multiplicative (Fx-style) hasher for the gate caches. Their keys are
-/// literals the blaster allocated itself, never outside input, so the
-/// collision resistance of the default SipHash buys nothing and its cost
-/// is paid on millions of lookups per miter.
+/// Multiplicative (Fx-style) hasher for the hash-cons table. Its keys are
+/// gates over literals the blaster allocated itself, never outside input,
+/// so the collision resistance of the default SipHash buys nothing and its
+/// cost is paid on millions of lookups per miter.
 #[derive(Default)]
 struct GateHasher(u64);
 
@@ -51,18 +66,66 @@ impl Hasher for GateHasher {
     }
 }
 
-type GateMap<K> = HashMap<K, Lit, BuildHasherDefault<GateHasher>>;
+type NodeMap<K, V> = HashMap<K, V, BuildHasherDefault<GateHasher>>;
 
-/// Bit-blasting context. `solver` is public so callers can run queries and
-/// read models directly.
+/// One AIG node.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// A free variable (and node 0, constant true, pinned by a unit clause).
+    Input,
+    And(Lit, Lit),
+    Xor(Lit, Lit),
+    Ite(Lit, Lit, Lit),
+}
+
+/// Third key slot of an `and` / `xor` gate, where an `ite` keeps its else
+/// literal. Neither is ever a node literal: node ids stay below
+/// `AND_TAG.var()`.
+const AND_TAG: Lit = Lit(u32::MAX);
+const XOR_TAG: Lit = Lit(u32::MAX - 1);
+
+/// A gate's hash-cons key. Twelve bytes for every gate kind keep the one
+/// table compact: on a mostly-shared miter, lookups are the blaster's
+/// main cost.
+type GateKey = (Lit, Lit, Lit);
+
+impl Gate {
+    fn key(self) -> GateKey {
+        match self {
+            Gate::Input => unreachable!("inputs are not hash-consed"),
+            Gate::And(a, b) => (a, b, AND_TAG),
+            Gate::Xor(a, b) => (a, b, XOR_TAG),
+            Gate::Ite(c, t, e) => (c, t, e),
+        }
+    }
+
+    /// Operand literals, in order.
+    fn operands(self) -> impl Iterator<Item = Lit> {
+        let (ops, n) = match self {
+            Gate::Input => ([Lit(0); 3], 0),
+            Gate::And(a, b) | Gate::Xor(a, b) => ([a, b, b], 2),
+            Gate::Ite(c, t, e) => ([c, t, e], 3),
+        };
+        ops.into_iter().take(n)
+    }
+}
+
+/// `var_of` entry of a node that has no solver variable yet.
+const UNENCODED: u32 = u32::MAX;
+
+/// Bit-blasting context: the AIG arena plus the solver its encoded part
+/// lives in.
 pub struct Blaster {
-    pub solver: Solver,
-    tru: Lit,
-    and_cache: GateMap<(Lit, Lit)>,
-    xor_cache: GateMap<(Lit, Lit)>,
-    ite_cache: GateMap<(Lit, Lit, Lit)>,
-    /// Structural-hash statistics: gate lookups served from a cache vs
-    /// gates that allocated a fresh variable and clauses.
+    solver: Solver,
+    /// Node id → gate.
+    gates: Vec<Gate>,
+    /// Node id → solver variable, [`UNENCODED`] until [`Blaster::encode`]
+    /// reaches the node.
+    var_of: Vec<u32>,
+    /// Hash-cons table: every `and`/`xor`/`ite` gate built, to its node id.
+    table: NodeMap<GateKey, u32>,
+    /// Structural-hash statistics: gate lookups served from the table vs
+    /// gates that appended a new node.
     pub cache_hits: u64,
     pub cache_misses: u64,
 }
@@ -75,52 +138,87 @@ impl Default for Blaster {
 
 impl Blaster {
     pub fn new() -> Blaster {
-        let mut solver = Solver::new();
-        let t = Lit::pos(solver.new_var());
-        solver.add_clause(&[t]);
-        Blaster {
-            solver,
-            tru: t,
-            and_cache: GateMap::default(),
-            xor_cache: GateMap::default(),
-            ite_cache: GateMap::default(),
+        let mut bl = Blaster {
+            solver: Solver::new(),
+            gates: Vec::new(),
+            var_of: Vec::new(),
+            table: NodeMap::default(),
             cache_hits: 0,
             cache_misses: 0,
-        }
+        };
+        let t = bl.fresh();
+        bl.assert_true(t);
+        bl
+    }
+
+    /// The solver holding the encoded part of the AIG. Its literals are
+    /// solver variables, not node literals: query through
+    /// [`Blaster::solve`].
+    pub(crate) fn solver(&self) -> &Solver {
+        &self.solver
+    }
+
+    /// AIG nodes built so far, inputs and the constant included.
+    pub(crate) fn num_nodes(&self) -> u64 {
+        self.gates.len() as u64
     }
 
     /// The constant-true literal.
     pub fn tru(&self) -> Lit {
-        self.tru
+        Lit::pos(0)
     }
 
     /// The constant-false literal.
     pub fn fals(&self) -> Lit {
-        self.tru.flip()
+        Lit::neg(0)
     }
 
     pub fn lit_const(&self, v: bool) -> Lit {
         if v {
-            self.tru
+            self.tru()
         } else {
-            self.tru.flip()
+            self.fals()
         }
     }
 
     fn is_true(&self, l: Lit) -> bool {
-        l == self.tru
+        l == self.tru()
     }
 
     fn is_false(&self, l: Lit) -> bool {
-        l == self.tru.flip()
+        l == self.fals()
+    }
+
+    fn push_node(&mut self, g: Gate) -> Lit {
+        // The hash-cons keys rely on node literals never reaching the tags.
+        let id = u32::try_from(self.gates.len())
+            .ok()
+            .filter(|&id| id < AND_TAG.var())
+            .expect("AIG node ids exhausted");
+        self.gates.push(g);
+        self.var_of.push(UNENCODED);
+        Lit::pos(id)
+    }
+
+    /// The node of gate `g`, appended unless an identical gate exists.
+    fn gate(&mut self, g: Gate) -> Lit {
+        let key = g.key();
+        if let Some(&id) = self.table.get(&key) {
+            self.cache_hits += 1;
+            return Lit::pos(id);
+        }
+        self.cache_misses += 1;
+        let x = self.push_node(g);
+        self.table.insert(key, x.var());
+        x
     }
 
     /// Fresh unconstrained literal.
     pub fn fresh(&mut self) -> Lit {
-        Lit::pos(self.solver.new_var())
+        self.push_node(Gate::Input)
     }
 
-    /// `a ∧ b` (cached, folded).
+    /// `a ∧ b` (hash-consed, folded).
     pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
         if self.is_false(a) || self.is_false(b) || a == b.flip() {
             return self.fals();
@@ -131,18 +229,11 @@ impl Blaster {
         if self.is_true(b) {
             return a;
         }
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        if let Some(&x) = self.and_cache.get(&key) {
-            self.cache_hits += 1;
-            return x;
-        }
-        self.cache_misses += 1;
-        let x = self.fresh();
-        self.solver.add_clause(&[a.flip(), b.flip(), x]);
-        self.solver.add_clause(&[a, x.flip()]);
-        self.solver.add_clause(&[b, x.flip()]);
-        self.and_cache.insert(key, x);
-        x
+        self.gate(if a.0 <= b.0 {
+            Gate::And(a, b)
+        } else {
+            Gate::And(b, a)
+        })
     }
 
     /// `a ∨ b`.
@@ -168,7 +259,7 @@ impl Blaster {
             return self.fals();
         }
         if a == b.flip() {
-            return self.tru;
+            return self.tru();
         }
         // Normalize to positive inputs: ¬a⊕b = ¬(a⊕b).
         let mut flip_out = false;
@@ -182,20 +273,11 @@ impl Blaster {
             b = b.flip();
             flip_out = !flip_out;
         }
-        let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        let x = if let Some(&x) = self.xor_cache.get(&key) {
-            self.cache_hits += 1;
-            x
+        let x = self.gate(if a.0 <= b.0 {
+            Gate::Xor(a, b)
         } else {
-            self.cache_misses += 1;
-            let x = self.fresh();
-            self.solver.add_clause(&[a.flip(), b.flip(), x.flip()]);
-            self.solver.add_clause(&[a, b, x.flip()]);
-            self.solver.add_clause(&[a.flip(), b, x]);
-            self.solver.add_clause(&[a, b.flip(), x]);
-            self.xor_cache.insert(key, x);
-            x
-        };
+            Gate::Xor(b, a)
+        });
         if flip_out {
             x.flip()
         } else {
@@ -229,18 +311,7 @@ impl Blaster {
         if t == e.flip() {
             return self.xor(c, e);
         }
-        if let Some(&x) = self.ite_cache.get(&(c, t, e)) {
-            self.cache_hits += 1;
-            return x;
-        }
-        self.cache_misses += 1;
-        let x = self.fresh();
-        self.solver.add_clause(&[c.flip(), t.flip(), x]);
-        self.solver.add_clause(&[c.flip(), t, x.flip()]);
-        self.solver.add_clause(&[c, e.flip(), x]);
-        self.solver.add_clause(&[c, e, x.flip()]);
-        self.ite_cache.insert((c, t, e), x);
-        x
+        self.gate(Gate::Ite(c, t, e))
     }
 
     /// `a == b` for single literals.
@@ -248,9 +319,84 @@ impl Blaster {
         self.xor(a, b).flip()
     }
 
-    /// Force a literal true at the root level.
+    /// Force a literal true at the root level. Its cone is encoded now, so
+    /// every later query sees the constraint.
     pub fn assert_true(&mut self, l: Lit) {
+        let l = self.encode(l);
         self.solver.add_clause(&[l]);
+    }
+
+    // ----------------------------------------------------------------- CNF
+
+    /// The solver literal of an encoded node literal.
+    fn solver_lit(&self, l: Lit) -> Lit {
+        let v = self.var_of[l.var() as usize];
+        debug_assert_ne!(v, UNENCODED, "node {} is not encoded", l.var());
+        Lit(v << 1 | (l.0 & 1))
+    }
+
+    /// Tseitin-encode the not-yet-encoded part of `l`'s cone and return
+    /// `l`'s solver literal. Each node gets its solver variable and clauses
+    /// once, after its operands (an iterative post-order walk: cones can be
+    /// arbitrarily deep), so encoding is incremental across calls.
+    pub(crate) fn encode(&mut self, l: Lit) -> Lit {
+        let mut stack = vec![l.var()];
+        while let Some(&n) = stack.last() {
+            if self.var_of[n as usize] != UNENCODED {
+                stack.pop();
+                continue;
+            }
+            let gate = self.gates[n as usize];
+            let open = stack.len();
+            for o in gate.operands() {
+                if self.var_of[o.var() as usize] == UNENCODED {
+                    stack.push(o.var());
+                }
+            }
+            if stack.len() == open {
+                stack.pop();
+                self.emit(n, gate);
+            }
+        }
+        self.solver_lit(l)
+    }
+
+    /// Allocate node `n`'s solver variable and add its Tseitin clauses; its
+    /// operands are already encoded.
+    fn emit(&mut self, n: u32, gate: Gate) {
+        let x = Lit::pos(self.solver.new_var());
+        self.var_of[n as usize] = x.var();
+        match gate {
+            Gate::Input => {}
+            Gate::And(a, b) => {
+                let (a, b) = (self.solver_lit(a), self.solver_lit(b));
+                self.solver.add_clause(&[a.flip(), b.flip(), x]);
+                self.solver.add_clause(&[a, x.flip()]);
+                self.solver.add_clause(&[b, x.flip()]);
+            }
+            Gate::Xor(a, b) => {
+                let (a, b) = (self.solver_lit(a), self.solver_lit(b));
+                self.solver.add_clause(&[a.flip(), b.flip(), x.flip()]);
+                self.solver.add_clause(&[a, b, x.flip()]);
+                self.solver.add_clause(&[a.flip(), b, x]);
+                self.solver.add_clause(&[a, b.flip(), x]);
+            }
+            Gate::Ite(c, t, e) => {
+                let (c, t, e) = (self.solver_lit(c), self.solver_lit(t), self.solver_lit(e));
+                self.solver.add_clause(&[c.flip(), t.flip(), x]);
+                self.solver.add_clause(&[c.flip(), t, x.flip()]);
+                self.solver.add_clause(&[c, e.flip(), x]);
+                self.solver.add_clause(&[c, e, x.flip()]);
+            }
+        }
+    }
+
+    /// Solve under assumptions, encoding their cones first. The model is
+    /// readable through [`Blaster::model_bv`] until the next call that
+    /// changes the CNF.
+    pub fn solve(&mut self, assumptions: &[Lit], budget: Budget) -> SatResult {
+        let assumptions: Vec<Lit> = assumptions.iter().map(|&l| self.encode(l)).collect();
+        self.solver.solve(&assumptions, budget)
     }
 
     // -------------------------------------------------------------- words
@@ -319,7 +465,7 @@ impl Blaster {
     pub fn bv_sub(&mut self, a: &BV, b: &BV) -> BV {
         debug_assert_eq!(a.len(), b.len());
         let mut out = Vec::with_capacity(a.len());
-        let mut carry = self.tru;
+        let mut carry = self.tru();
         for (&x, &yr) in a.iter().zip(b) {
             let y = yr.flip();
             let xy = self.xor(x, y);
@@ -359,7 +505,7 @@ impl Blaster {
     /// `a == b` as one literal.
     pub fn bv_eq(&mut self, a: &BV, b: &BV) -> Lit {
         debug_assert_eq!(a.len(), b.len());
-        let mut acc = self.tru;
+        let mut acc = self.tru();
         for (&x, &y) in a.iter().zip(b) {
             let e = self.lit_eq(x, y);
             acc = self.and(acc, e);
@@ -473,15 +619,61 @@ impl Blaster {
         self.bv_ite(overshoot, &all_fill, &cur)
     }
 
-    /// Read the value of a vector from the solver's current model.
+    /// Read the value of a vector from the solver's current model. Encoded
+    /// nodes read the model; unencoded ones are evaluated from their
+    /// operands, and an unencoded input reads 0, like an unconstrained
+    /// solver variable.
     pub fn model_bv(&self, a: &BV) -> u64 {
+        let mut memo = NodeMap::default();
         let mut v = 0u64;
         for (i, &l) in a.iter().enumerate() {
-            if self.solver.model_value(l) {
+            if self.model_lit(l, &mut memo) {
                 v |= 1 << i;
             }
         }
         v
+    }
+
+    /// The model value of `l`; `memo` holds the unencoded nodes evaluated
+    /// so far (an iterative post-order walk: cones can be arbitrarily
+    /// deep).
+    fn model_lit(&self, l: Lit, memo: &mut NodeMap<u32, bool>) -> bool {
+        let known = |memo: &NodeMap<u32, bool>, n: u32| match self.var_of[n as usize] {
+            UNENCODED => memo.get(&n).copied(),
+            v => Some(self.solver.model_value(Lit::pos(v))),
+        };
+        let mut stack = vec![l.var()];
+        while let Some(&n) = stack.last() {
+            if known(memo, n).is_some() {
+                stack.pop();
+                continue;
+            }
+            let gate = self.gates[n as usize];
+            let open = stack.len();
+            for o in gate.operands() {
+                if known(memo, o.var()).is_none() {
+                    stack.push(o.var());
+                }
+            }
+            if stack.len() == open {
+                stack.pop();
+                let val = |o: Lit| known(memo, o.var()).expect("operand evaluated") ^ o.is_neg();
+                let v = match gate {
+                    Gate::Input => false,
+                    Gate::And(a, b) => val(a) && val(b),
+                    Gate::Xor(a, b) => val(a) ^ val(b),
+                    Gate::Ite(c, t, e) => {
+                        if val(c) {
+                            val(t)
+                        } else {
+                            val(e)
+                        }
+                    }
+                };
+                memo.insert(n, v);
+            }
+        }
+        known(memo, l.var()).expect("literal evaluated") ^ l.is_neg()
     }
 }
 
@@ -517,7 +709,7 @@ mod tests {
                 for (i, &l) in b.iter().enumerate() {
                     assum.push(if bv >> i & 1 != 0 { l } else { l.flip() });
                 }
-                assert_eq!(bl.solver.solve(&assum, Budget::UNLIMITED), SatResult::Sat);
+                assert_eq!(bl.solve(&assum, Budget::UNLIMITED), SatResult::Sat);
                 assert_eq!(
                     bl.model_bv(&out),
                     reference(av, bv) & m,
@@ -588,5 +780,82 @@ mod tests {
         assert_eq!(s1, s2, "identical structure must share literals");
         let d = bl.bv_eq(&s1, &s2);
         assert_eq!(d, bl.tru(), "equality of shared terms folds to true");
+    }
+
+    /// A query that folds to constant false reaches the solver without a
+    /// single clause: the structure behind it is never encoded.
+    #[test]
+    fn constant_false_query_adds_no_clauses() {
+        let mut bl = Blaster::new();
+        let a = bl.bv_fresh(16);
+        let b = bl.bv_fresh(16);
+        let p1 = bl.bv_mul(&a, &b);
+        let p2 = bl.bv_mul(&a, &b);
+        let diff = bl.bv_eq(&p1, &p2).flip();
+        assert_eq!(diff, bl.fals());
+        assert!(bl.num_nodes() > 100, "the multiplier was built");
+        assert_eq!(bl.solve(&[diff], Budget::UNLIMITED), SatResult::Unsat);
+        assert_eq!(bl.solver().num_clauses(), 0);
+        assert_eq!(bl.solver().num_vars(), 1, "only the constant is encoded");
+    }
+
+    /// Querying one output of a wide structure encodes that output's cone
+    /// only; the rest of the structure stays out of the CNF until asked for.
+    #[test]
+    fn query_encodes_only_its_cone() {
+        let mut bl = Blaster::new();
+        let a = bl.bv_fresh(16);
+        let b = bl.bv_fresh(16);
+        let p = bl.bv_mul(&a, &b);
+        assert_eq!(bl.solve(&[p[0]], Budget::UNLIMITED), SatResult::Sat);
+        assert_eq!(
+            bl.model_bv(&a) & bl.model_bv(&b) & 1,
+            1,
+            "p[0] = a[0] ∧ b[0]"
+        );
+        let one = bl.solver().num_clauses();
+        for &l in &p {
+            bl.encode(l);
+        }
+        let all = bl.solver().num_clauses();
+        assert!(one < all, "bit 0 encoded {one} clauses, the product {all}");
+        assert!(u64::from(bl.solver().num_vars()) <= bl.num_nodes());
+    }
+
+    /// A root constraint on a cone no query touches still binds every
+    /// query: `assert_true` encodes its cone immediately.
+    #[test]
+    fn asserted_cone_constrains_later_queries() {
+        let mut bl = Blaster::new();
+        let x = bl.fresh();
+        let y = bl.fresh();
+        let xy = bl.and(x, y);
+        bl.assert_true(xy);
+        assert_eq!(bl.solve(&[x.flip()], Budget::UNLIMITED), SatResult::Unsat);
+        assert_eq!(bl.solve(&[y], Budget::UNLIMITED), SatResult::Sat);
+        assert_eq!(bl.model_bv(&vec![x, y]), 0b11);
+    }
+
+    /// `model_bv` evaluates an unencoded node from its operands, without
+    /// recursion: a 100k-deep xor chain neither overflows the stack nor
+    /// disagrees with the parity of the inputs the model sets.
+    #[test]
+    fn model_of_deep_unencoded_chain_matches_reference() {
+        const DEPTH: usize = 100_000;
+        let mut bl = Blaster::new();
+        let xs = bl.bv_fresh(DEPTH as u32);
+        let mut chain = xs[0];
+        for &x in &xs[1..] {
+            chain = bl.xor(chain, x);
+        }
+        let set = [3, 500, DEPTH - 1];
+        let mut assumptions: Vec<Lit> = set.iter().map(|&i| xs[i]).collect();
+        assumptions.extend([xs[0].flip(), xs[7].flip()]);
+        assert_eq!(bl.solve(&assumptions, Budget::UNLIMITED), SatResult::Sat);
+        assert!(bl.solver().num_vars() < 10, "the chain itself is unencoded");
+        // Unencoded inputs read 0, so the chain is the parity of `set`.
+        let parity = (set.len() % 2) as u64;
+        assert_eq!(bl.model_bv(&vec![chain]), parity);
+        assert_eq!(bl.model_bv(&vec![chain.flip()]), 1 - parity);
     }
 }

@@ -132,14 +132,17 @@ pub struct FuncReport {
     pub solver: SolverStats,
 }
 
-/// CNF size snapshot after unrolling (and solving) one cycle of the miter.
+/// CNF growth for one cycle of the miter: the clauses and variables
+/// encoded for that cycle's query and root constraints, counted before the
+/// query is solved.
 #[derive(Clone, Copy, Debug)]
 pub struct FrameStats {
     /// Unroll cycle this frame corresponds to.
     pub cycle: u32,
-    /// Problem + learnt clauses added while blasting this frame.
+    /// Clauses added while blasting and encoding this frame. Learnt
+    /// clauses from earlier queries are excluded.
     pub clauses_added: u64,
-    /// SAT variables allocated while blasting this frame.
+    /// SAT variables (encoded AIG nodes) allocated for this frame.
     pub vars_added: u64,
 }
 
@@ -155,14 +158,20 @@ pub struct SolverStats {
     pub learnt_len: obs::Histogram,
     /// Decision-level distribution at each decision.
     pub decision_depth: obs::Histogram,
-    /// Structural-hash gate cache hits/misses in the blaster.
+    /// Hash-cons table hits/misses in the blaster.
     pub blast_cache_hits: u64,
     pub blast_cache_misses: u64,
-    /// Final clause-database size (problem + surviving learnts).
+    /// Final clause-database size: the Tseitin clauses of every encoded
+    /// cone plus surviving learnts. A miter whose queries all fold to
+    /// constants has 0.
     pub clauses: u64,
-    /// Final variable count.
+    /// Final SAT variable count: the AIG nodes that were actually encoded
+    /// (the constant node is always one of them).
     pub vars: u64,
-    /// Per-unroll-frame CNF growth.
+    /// AIG nodes built, inputs and the constant included. `vars / nodes`
+    /// is the share of the miter that reached the solver.
+    pub nodes: u64,
+    /// Per-unroll-frame CNF growth, one entry per cycle blasted.
     pub frames: Vec<FrameStats>,
     /// Wall-clock per phase, in milliseconds.
     pub lower_ms: u64,
@@ -179,13 +188,14 @@ impl SolverStats {
         let mut s = String::with_capacity(512);
         s.push_str(&format!(
             "{{\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"restarts\":{},\
-             \"clauses\":{},\"vars\":{}",
+             \"clauses\":{},\"vars\":{},\"nodes\":{}",
             self.conflicts,
             self.decisions,
             self.propagations,
             self.restarts,
             self.clauses,
-            self.vars
+            self.vars,
+            self.nodes
         ));
         s.push_str(&format!(
             ",\"blast_cache\":{{\"hits\":{},\"misses\":{}}}",
@@ -538,7 +548,7 @@ pub fn check_func_equivalence(
     };
 
     let mut bl = Blaster::new();
-    let start_conflicts = bl.solver.conflicts;
+    let start_conflicts = bl.solver().conflicts;
     let deadline = opts
         .time_budget_ms
         .map(|ms| started + std::time::Duration::from_millis(ms));
@@ -565,24 +575,26 @@ pub fn check_func_equivalence(
     // Consumes the blaster so that `time_ms` includes its teardown, which
     // no phase covers: `time_ms` minus the phase sum is that teardown.
     let report = |status: EquivStatus, bl: Blaster, phases: &PhaseMs, frames: Vec<FrameStats>| {
+        let sv = bl.solver();
         let mut report = FuncReport {
             func: func_name.to_string(),
             k: opts.k_cycles,
             status,
-            conflicts: bl.solver.conflicts - start_conflicts,
-            vars: bl.solver.num_vars(),
+            conflicts: sv.conflicts - start_conflicts,
+            vars: sv.num_vars(),
             time_ms: 0,
             solver: SolverStats {
-                conflicts: bl.solver.conflicts - start_conflicts,
-                decisions: bl.solver.decisions,
-                propagations: bl.solver.propagations,
-                restarts: bl.solver.restarts,
-                learnt_len: bl.solver.learnt_len.clone(),
-                decision_depth: bl.solver.decision_depth.clone(),
+                conflicts: sv.conflicts - start_conflicts,
+                decisions: sv.decisions,
+                propagations: sv.propagations,
+                restarts: sv.restarts,
+                learnt_len: sv.learnt_len.clone(),
+                decision_depth: sv.decision_depth.clone(),
                 blast_cache_hits: bl.cache_hits,
                 blast_cache_misses: bl.cache_misses,
-                clauses: bl.solver.num_clauses() as u64,
-                vars: u64::from(bl.solver.num_vars()),
+                clauses: sv.num_clauses() as u64,
+                vars: u64::from(sv.num_vars()),
+                nodes: bl.num_nodes(),
                 frames,
                 lower_ms: phases.lower,
                 blast_ms: phases.blast,
@@ -598,8 +610,8 @@ pub fn check_func_equivalence(
     let mut frames: Vec<FrameStats> = Vec::new();
     // CNF-size baseline per frame, re-snapshotted after each solve so the
     // deltas attribute blasted clauses (not learnts) to each unroll cycle.
-    let mut last_clauses = bl.solver.num_clauses() as u64;
-    let mut last_vars = u64::from(bl.solver.num_vars());
+    let mut last_clauses = bl.solver().num_clauses() as u64;
+    let mut last_vars = u64::from(bl.solver().num_vars());
 
     for cycle in 0..opts.k_cycles {
         let blast_started = Instant::now();
@@ -607,16 +619,19 @@ pub fn check_func_equivalence(
             let _sp = obs::span("equiv_blast");
             let fa = step_side(&mut bl, &mut side_a, &env, &scalars, cycle)?;
             let fb = step_side(&mut bl, &mut side_b, &env, &scalars, cycle)?;
-            observe_diff(&mut bl, &env, &side_a, &fa, &side_b, &fb)?
+            let obs = observe_diff(&mut bl, &env, &side_a, &fa, &side_b, &fb)?;
+            // The query's CNF is this cycle's: build it before the snapshot.
+            bl.encode(obs.diff);
+            obs
         };
         phases.blast += blast_started.elapsed().as_millis() as u64;
         frames.push(FrameStats {
             cycle,
-            clauses_added: bl.solver.num_clauses() as u64 - last_clauses,
-            vars_added: u64::from(bl.solver.num_vars()) - last_vars,
+            clauses_added: bl.solver().num_clauses() as u64 - last_clauses,
+            vars_added: u64::from(bl.solver().num_vars()) - last_vars,
         });
 
-        let spent = bl.solver.conflicts - start_conflicts;
+        let spent = bl.solver().conflicts - start_conflicts;
         let budget = Budget {
             max_conflicts: opts.conflict_budget.saturating_sub(spent).max(1),
             deadline,
@@ -624,16 +639,16 @@ pub fn check_func_equivalence(
         let solve_started = Instant::now();
         let res = {
             let _sp = obs::span("equiv_solve");
-            bl.solver.solve(&[obs.diff], budget)
+            bl.solve(&[obs.diff], budget)
         };
         phases.solve += solve_started.elapsed().as_millis() as u64;
         match res {
             SatResult::Unsat => {
                 // Proven no divergence at this cycle; pin it for the rest
                 // of the unrolling.
-                bl.solver.add_clause(&[obs.diff.flip()]);
-                last_clauses = bl.solver.num_clauses() as u64;
-                last_vars = u64::from(bl.solver.num_vars());
+                bl.assert_true(obs.diff.flip());
+                last_clauses = bl.solver().num_clauses() as u64;
+                last_vars = u64::from(bl.solver().num_vars());
             }
             SatResult::Sat => {
                 let stimulus = extract_stimulus(&bl, &env, &scalars, &init_words);
@@ -663,7 +678,7 @@ pub fn check_func_equivalence(
                 let reason = format!(
                     "proof budget exhausted at cycle {cycle}/{} ({} conflicts)",
                     opts.k_cycles,
-                    bl.solver.conflicts - start_conflicts,
+                    bl.solver().conflicts - start_conflicts,
                 );
                 let replay_started = Instant::now();
                 let st = {

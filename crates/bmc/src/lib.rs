@@ -7,9 +7,11 @@
 //!    bytecode tape into a word-level transition system with BTOR2 export.
 //! 2. [`sat`] — a small in-house CDCL SAT solver (two watched literals,
 //!    VSIDS-style activities, Luby restarts, assumptions, budgets).
-//! 3. [`blast`] — Tseitin bit-blasting of bit-vector operations onto the
-//!    solver, with global structural hashing so identical subterms across
-//!    the two miter sides collapse to identical literals.
+//! 3. [`blast`] — bit-blasting of bit-vector operations into one
+//!    hash-consed AIG, so identical subterms across the two miter sides
+//!    collapse to identical literals. Building the AIG touches no solver;
+//!    each query and root constraint Tseitin-encodes only the
+//!    not-yet-encoded part of its own cone.
 //! 4. [`equiv`] — the miter: both designs unrolled K cycles under one
 //!    shared symbolic environment, divergence queried per cycle,
 //!    SAT models replay-confirmed, budget exhaustion loudly degraded to a
