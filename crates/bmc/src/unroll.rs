@@ -6,7 +6,8 @@
 //! environment models, observables) — see [`crate::equiv`].
 
 use crate::blast::{Blaster, BV};
-use verilog::tsys::{Node, NodeId, TOp, TransitionSystem};
+use verilog::ast::BinOp;
+use verilog::tsys::{Node, NodeId, TransitionSystem};
 
 /// All node values for one cycle, indexed by [`NodeId`].
 pub struct Frame {
@@ -45,21 +46,23 @@ pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs:
             Node::Binary { op, a, b, .. } => {
                 let (a, b) = (&values[*a as usize], &values[*b as usize]);
                 match op {
-                    TOp::Add => bl.bv_add(a, b),
-                    TOp::Sub => bl.bv_sub(a, b),
-                    TOp::Mul => bl.bv_mul(a, b),
-                    TOp::And => bl.bv_and(a, b),
-                    TOp::Or => bl.bv_or(a, b),
-                    TOp::Xor => bl.bv_xor(a, b),
-                    TOp::Sll => bl.bv_sll(a, b),
-                    TOp::Srl => bl.bv_srl(a, b),
-                    TOp::Sra => bl.bv_sra(a, b),
-                    TOp::Eq => vec![bl.bv_eq(a, b)],
-                    TOp::Ne => vec![bl.bv_eq(a, b).flip()],
-                    TOp::Ult => vec![bl.bv_ult(a, b)],
-                    TOp::Ule => vec![bl.bv_ule(a, b)],
-                    TOp::Slt => vec![bl.bv_slt(a, b)],
-                    TOp::Sle => vec![bl.bv_sle(a, b)],
+                    BinOp::Add => bl.bv_add(a, b),
+                    BinOp::Sub => bl.bv_sub(a, b),
+                    BinOp::Mul => bl.bv_mul(a, b),
+                    BinOp::And => bl.bv_and(a, b),
+                    BinOp::Or => bl.bv_or(a, b),
+                    BinOp::Xor => bl.bv_xor(a, b),
+                    BinOp::Shl => bl.bv_sll(a, b),
+                    BinOp::LShr => bl.bv_srl(a, b),
+                    BinOp::AShr => bl.bv_sra(a, b),
+                    BinOp::Eq => vec![bl.bv_eq(a, b)],
+                    BinOp::Ne => vec![bl.bv_eq(a, b).flip()],
+                    BinOp::ULt => vec![bl.bv_ult(a, b)],
+                    BinOp::ULe => vec![bl.bv_ule(a, b)],
+                    BinOp::SLt => vec![bl.bv_slt(a, b)],
+                    BinOp::SLe => vec![bl.bv_sle(a, b)],
+                    BinOp::SGt => vec![bl.bv_slt(b, a)],
+                    BinOp::SGe => vec![bl.bv_sle(b, a)],
                 }
             }
             Node::Ite { cond, t, e, .. } => {
@@ -84,7 +87,7 @@ pub fn eval_frame(bl: &mut Blaster, ts: &TransitionSystem, state: &[BV], inputs:
         values.push(v);
         debug_assert_eq!(
             values[i].len(),
-            ts.width(i as NodeId) as usize,
+            n.width() as usize,
             "node {i} width mismatch"
         );
     }

@@ -6,9 +6,15 @@
 //! of the loop:
 //!
 //! - the **domain** ([`Domain`]) owns the register file and net state:
-//!   [`Scalar`] registers (one `u64` each), or [`Lanes`], lane-major
+//!   [`Scalar`] registers (one `u64` each), [`Lanes`], lane-major
 //!   `[u64; L]` rows evaluated under a divergence mask with SIMT-style
-//!   branching;
+//!   branching, or the transition-system lowering's symbolic domain (see
+//!   [`crate::tsys`]), whose registers are word-level node ids. Register
+//!   operations arrive as `Copy` op descriptors ([`Op1`], [`Op2`],
+//!   [`Op3`]) whose `eval` is the one concrete semantics both concrete
+//!   domains call; control flow (`Jump`, `JumpIfZero`) goes through domain
+//!   hooks that see the pc, so the symbolic domain can walk both arms of
+//!   an `if` where the concrete ones branch;
 //! - the **effects** ([`Fx`]) decide where stores, emits and assertion
 //!   failures go: pending-update buffers ([`Commit`]), a compare-and-set
 //!   store that lists the changed nets ([`NetList`]) or changed-lane masks
@@ -28,6 +34,8 @@ use crate::sim::{eval_binary, sign_extend, Insn};
 /// Execute tape pcs `[start, end)`: a linear sweep with no recursion and
 /// no allocation (assertion failure aside). Jump targets are absolute pcs
 /// and never leave the range (ranges follow statement boundaries).
+/// Branches go through the domain's [`Domain::jump`] and
+/// [`Domain::jump_if_zero`] hooks.
 #[inline(always)]
 pub(crate) fn run<O: Observer, D: Domain<O>>(
     tape: &[Insn],
@@ -52,10 +60,10 @@ pub(crate) fn run<O: Observer, D: Domain<O>>(
         match tape[pc] {
             Insn::LoadNet { dst, net } => d.load_net(o, pc, dst, net),
             Insn::MemRead { dst, mem, addr, m } => d.mem_read(o, pc, dst, mem, addr, m),
-            Insn::Slice { dst, src, lo, m } => d.op1(o, pc, dst, src, |x| (x >> lo) & m),
-            Insn::Not { dst, src, m } => d.op1(o, pc, dst, src, |x| !x & m),
-            Insn::LNot { dst, src } => d.op1(o, pc, dst, src, |x| u64::from(x == 0)),
-            Insn::RedOr { dst, src } => d.op1(o, pc, dst, src, |x| u64::from(x != 0)),
+            Insn::Slice { dst, src, lo, m } => d.op1(o, pc, dst, src, Op1::Slice { lo, m }),
+            Insn::Not { dst, src, m } => d.op1(o, pc, dst, src, Op1::Not { m }),
+            Insn::LNot { dst, src } => d.op1(o, pc, dst, src, Op1::LNot),
+            Insn::RedOr { dst, src } => d.op1(o, pc, dst, src, Op1::RedOr),
             Insn::Binary {
                 op,
                 dst,
@@ -66,13 +74,15 @@ pub(crate) fn run<O: Observer, D: Domain<O>>(
                 m,
             } => {
                 // The operator match is hoisted out of the domain's lane
-                // loop: each arm is one flat, auto-vectorizable sweep.
+                // loop: each arm passes a constant operator, so after
+                // inlining each is one flat, auto-vectorizable sweep.
                 macro_rules! hoist {
                     ($($op:ident)*) => {
                         match op {
-                            $(BinOp::$op => d.op2(o, pc, dst, a, b, |x, y| {
-                                eval_binary(BinOp::$op, x, y, aw, bw) & m
-                            }),)*
+                            $(BinOp::$op => {
+                                let op = BinOp::$op;
+                                d.op2(o, pc, dst, a, b, Op2::Bin { op, aw, bw, m })
+                            })*
                         }
                     };
                 }
@@ -84,31 +94,29 @@ pub(crate) fn run<O: Observer, D: Domain<O>>(
                 then,
                 els,
                 m,
-            } => d.op3(o, pc, dst, cond, then, els, |c, t, e| {
-                (if c != 0 { t } else { e }) & m
-            }),
-            Insn::ConcatFirst { dst, src, m } => d.op1(o, pc, dst, src, |x| x & m),
+            } => d.op3(o, pc, dst, cond, then, els, Op3::Select { m }),
+            Insn::ConcatFirst { dst, src, m } => d.op1(o, pc, dst, src, Op1::Mask { m }),
             Insn::ConcatPush { dst, src, shift, m } => {
-                d.op2(o, pc, dst, dst, src, |acc, x| (acc << shift) | (x & m));
+                d.op2(o, pc, dst, dst, src, Op2::ConcatPush { shift, m });
             }
-            Insn::MaskReg { dst, m } => d.op1(o, pc, dst, dst, |x| x & m),
+            Insn::MaskReg { dst, m } => d.op1(o, pc, dst, dst, Op1::Mask { m }),
             Insn::SignExtend {
                 dst,
                 src,
                 from,
                 fm,
                 m,
-            } => d.op1(o, pc, dst, src, |x| (sign_extend(x & fm, from) as u64) & m),
+            } => d.op1(o, pc, dst, src, Op1::SignExtend { from, fm, m }),
             Insn::StoreNet { net, src, m } => d.store_net(o, pc, net, src, m),
             Insn::EmitNet { net, src, m } => d.emit_net(o, pc, net, src, m),
             Insn::EmitMem { mem, addr, src, m } => d.emit_mem(o, pc, mem, addr, src, m),
-            Insn::Assert { guard, cond, msg } => d.assert(guard, cond, msg),
+            Insn::Assert { guard, cond, msg } => d.assert(pc, guard, cond, msg),
             Insn::Jump { target } => {
-                pc = target as usize;
+                pc = d.jump(pc, target);
                 continue;
             }
             Insn::JumpIfZero { src, target } => {
-                if d.jump_if_zero(src, target) {
+                if d.jump_if_zero(pc, src, target) {
                     pc = target as usize;
                     continue;
                 }
@@ -120,6 +128,7 @@ pub(crate) fn run<O: Observer, D: Domain<O>>(
 
 /// [`run`] over the scalar domain: one out-of-line instance per observer
 /// and effects type, shared by every call site.
+#[inline(never)]
 pub(crate) fn run_scalar<O: Observer, X: Fx>(
     tape: &[Insn],
     start: usize,
@@ -159,6 +168,85 @@ pub(crate) fn run_lanes<X: Fx>(tape: &[Insn], start: usize, end: usize, d: Lanes
 #[target_feature(enable = "avx2")]
 unsafe fn run_avx2<D: Domain<NoObs>>(tape: &[Insn], start: usize, end: usize, mut d: D) {
     run(tape, start, end, &mut d, &mut NoObs);
+}
+
+// ------------------------------------------------------------ operations
+
+/// A one-operand register operation, `regs[dst] = op(regs[a])`.
+#[derive(Clone, Copy)]
+pub(crate) enum Op1 {
+    Slice {
+        lo: u32,
+        m: u64,
+    },
+    Not {
+        m: u64,
+    },
+    LNot,
+    RedOr,
+    /// `ConcatFirst` and `MaskReg`.
+    Mask {
+        m: u64,
+    },
+    /// Sign-extend the low `from` bits (of `x & fm`) to the width of `m`.
+    SignExtend {
+        from: u32,
+        fm: u64,
+        m: u64,
+    },
+}
+
+/// A two-operand register operation, `regs[dst] = op(regs[a], regs[b])`.
+#[derive(Clone, Copy)]
+pub(crate) enum Op2 {
+    /// `aw`/`bw` are the declared operand widths, `m` the result mask.
+    Bin { op: BinOp, aw: u32, bw: u32, m: u64 },
+    /// `(acc << shift) | (part & m)`: append the second operand below the
+    /// accumulator.
+    ConcatPush { shift: u32, m: u64 },
+}
+
+/// A three-operand register operation.
+#[derive(Clone, Copy)]
+pub(crate) enum Op3 {
+    /// `regs[a] != 0 ? regs[b] : regs[c]`, masked to `m`.
+    Select { m: u64 },
+}
+
+// The concrete semantics, shared by the scalar and lane domains. Always
+// inlined, so a call site that passes a constant descriptor compiles to
+// the one arm it names.
+impl Op1 {
+    #[inline(always)]
+    pub(crate) fn eval(self, x: u64) -> u64 {
+        match self {
+            Op1::Slice { lo, m } => (x >> lo) & m,
+            Op1::Not { m } => !x & m,
+            Op1::LNot => u64::from(x == 0),
+            Op1::RedOr => u64::from(x != 0),
+            Op1::Mask { m } => x & m,
+            Op1::SignExtend { from, fm, m } => (sign_extend(x & fm, from) as u64) & m,
+        }
+    }
+}
+
+impl Op2 {
+    #[inline(always)]
+    pub(crate) fn eval(self, x: u64, y: u64) -> u64 {
+        match self {
+            Op2::Bin { op, aw, bw, m } => eval_binary(op, x, y, aw, bw) & m,
+            Op2::ConcatPush { shift, m } => (x << shift) | (y & m),
+        }
+    }
+}
+
+impl Op3 {
+    #[inline(always)]
+    pub(crate) fn eval(self, c: u64, t: u64, e: u64) -> u64 {
+        match self {
+            Op3::Select { m } => (if c != 0 { t } else { e }) & m,
+        }
+    }
 }
 
 // ------------------------------------------------------------- observers
@@ -336,30 +424,23 @@ pub(crate) trait Domain<O: Observer> {
     fn load_net(&mut self, o: &mut O, pc: usize, dst: u32, net: u32);
     /// `regs[dst] = memory[regs[addr]] & m`, 0 when out of range.
     fn mem_read(&mut self, o: &mut O, pc: usize, dst: u32, mem: u32, addr: u32, m: u64);
-    /// `regs[dst] = f(regs[a])`.
-    fn op1(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, f: impl Fn(u64) -> u64);
-    fn op2(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, f: impl Fn(u64, u64) -> u64);
+    fn op1(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, op: Op1);
+    fn op2(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, op: Op2);
     #[allow(clippy::too_many_arguments)]
-    fn op3(
-        &mut self,
-        o: &mut O,
-        pc: usize,
-        dst: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-        f: impl Fn(u64, u64, u64) -> u64,
-    );
+    fn op3(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, c: u32, op: Op3);
     /// `values[net] = regs[src] & m`, reported to the effects.
     fn store_net(&mut self, o: &mut O, pc: usize, net: u32, src: u32, m: u64);
     /// Non-blocking `net <= regs[src]`; `m` is the net's width mask.
     fn emit_net(&mut self, o: &mut O, pc: usize, net: u32, src: u32, m: u64);
     /// Non-blocking `mem[regs[addr]] <= regs[src]`; `m` is the word mask.
     fn emit_mem(&mut self, o: &mut O, pc: usize, mem: u32, addr: u32, src: u32, m: u64);
-    fn assert(&mut self, guard: u32, cond: u32, msg: u32);
-    /// `JumpIfZero`: whether every active lane takes the branch. Lanes that
-    /// diverge are parked at `target` until [`resume`](Self::resume).
-    fn jump_if_zero(&mut self, src: u32, target: u32) -> bool;
+    fn assert(&mut self, pc: usize, guard: u32, cond: u32, msg: u32);
+    /// `Jump` at `pc`: the pc to continue at.
+    fn jump(&mut self, pc: usize, target: u32) -> usize;
+    /// `JumpIfZero` at `pc`: whether every active lane takes the branch.
+    /// Lanes that diverge are parked at `target` until
+    /// [`resume`](Self::resume).
+    fn jump_if_zero(&mut self, pc: usize, src: u32, target: u32) -> bool;
     /// Whether no lane is active on the current path.
     fn idle(&self) -> bool;
     /// The current path ended: the pc of a parked path to continue, if any.
@@ -398,29 +479,27 @@ impl<X: Fx, O: Observer> Domain<O> for Scalar<'_, X> {
         self.put(o, pc, dst, v);
     }
     #[inline(always)]
-    fn op1(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, f: impl Fn(u64) -> u64) {
-        let v = f(self.regs[a as usize]);
+    fn op1(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, op: Op1) {
+        let v = op.eval(self.regs[a as usize]);
         self.put(o, pc, dst, v);
     }
     #[inline(always)]
-    fn op2(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, f: impl Fn(u64, u64) -> u64) {
-        let v = f(self.regs[a as usize], self.regs[b as usize]);
-        self.put(o, pc, dst, v);
+    fn op2(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, op: Op2) {
+        // Bounds-check `dst` before evaluating: with this order the
+        // seventeen binary arms keep the register file's base in a register
+        // (measured: without it the bytecode engine ran ~15% slower on
+        // conv 64x64 and GEMM N=16).
+        let (x, y) = (self.regs[a as usize], self.regs[b as usize]);
+        let r = &mut self.regs[dst as usize];
+        let v = op.eval(x, y);
+        o.changed(pc, || *r != v);
+        *r = v;
     }
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn op3(
-        &mut self,
-        o: &mut O,
-        pc: usize,
-        dst: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-        f: impl Fn(u64, u64, u64) -> u64,
-    ) {
+    fn op3(&mut self, o: &mut O, pc: usize, dst: u32, a: u32, b: u32, c: u32, op: Op3) {
         let r = &self.regs;
-        let v = f(r[a as usize], r[b as usize], r[c as usize]);
+        let v = op.eval(r[a as usize], r[b as usize], r[c as usize]);
         self.put(o, pc, dst, v);
     }
     #[inline(always)]
@@ -448,13 +527,17 @@ impl<X: Fx, O: Observer> Domain<O> for Scalar<'_, X> {
         self.fx.emit_mem(0, mem, a, v);
     }
     #[inline(always)]
-    fn assert(&mut self, guard: u32, cond: u32, msg: u32) {
+    fn assert(&mut self, _pc: usize, guard: u32, cond: u32, msg: u32) {
         if self.regs[guard as usize] != 0 && self.regs[cond as usize] == 0 {
             self.fx.fail(0, msg);
         }
     }
     #[inline(always)]
-    fn jump_if_zero(&mut self, src: u32, _target: u32) -> bool {
+    fn jump(&mut self, _pc: usize, target: u32) -> usize {
+        target as usize
+    }
+    #[inline(always)]
+    fn jump_if_zero(&mut self, _pc: usize, src: u32, _target: u32) -> bool {
         self.regs[src as usize] == 0
     }
     #[inline(always)]
@@ -580,44 +663,27 @@ impl<X: Fx, const L: usize> Domain<NoObs> for Lanes<'_, X, L> {
         });
     }
     #[inline(always)]
-    fn op1(&mut self, _: &mut NoObs, _: usize, dst: u32, a: u32, f: impl Fn(u64) -> u64) {
+    fn op1(&mut self, _: &mut NoObs, _: usize, dst: u32, a: u32, op: Op1) {
         let shape = self.shape();
         let (d, a) = (self.row(dst), self.row(a));
         let regs = &mut *self.regs;
-        for_lanes!(shape, |k| regs[d + k] = f(regs[a + k]));
+        for_lanes!(shape, |k| regs[d + k] = op.eval(regs[a + k]));
     }
     #[inline(always)]
-    fn op2(
-        &mut self,
-        _: &mut NoObs,
-        _: usize,
-        dst: u32,
-        a: u32,
-        b: u32,
-        f: impl Fn(u64, u64) -> u64,
-    ) {
+    fn op2(&mut self, _: &mut NoObs, _: usize, dst: u32, a: u32, b: u32, op: Op2) {
         let shape = self.shape();
         let (d, a, b) = (self.row(dst), self.row(a), self.row(b));
         let regs = &mut *self.regs;
-        for_lanes!(shape, |k| regs[d + k] = f(regs[a + k], regs[b + k]));
+        for_lanes!(shape, |k| regs[d + k] = op.eval(regs[a + k], regs[b + k]));
     }
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn op3(
-        &mut self,
-        _: &mut NoObs,
-        _: usize,
-        dst: u32,
-        a: u32,
-        b: u32,
-        c: u32,
-        f: impl Fn(u64, u64, u64) -> u64,
-    ) {
+    fn op3(&mut self, _: &mut NoObs, _: usize, dst: u32, a: u32, b: u32, c: u32, op: Op3) {
         let shape = self.shape();
         let (d, a, b, c) = (self.row(dst), self.row(a), self.row(b), self.row(c));
         let regs = &mut *self.regs;
         for_lanes!(shape, |k| regs[d + k] =
-            f(regs[a + k], regs[b + k], regs[c + k]));
+            op.eval(regs[a + k], regs[b + k], regs[c + k]));
     }
     #[inline(always)]
     fn store_net(&mut self, _: &mut NoObs, _: usize, net: u32, src: u32, m: u64) {
@@ -650,7 +716,7 @@ impl<X: Fx, const L: usize> Domain<NoObs> for Lanes<'_, X, L> {
         }
     }
     #[inline(always)]
-    fn assert(&mut self, guard: u32, cond: u32, msg: u32) {
+    fn assert(&mut self, _pc: usize, guard: u32, cond: u32, msg: u32) {
         let (g, c) = (self.row(guard), self.row(cond));
         for k in Bits(self.mask) {
             if self.regs[g + k] != 0 && self.regs[c + k] == 0 {
@@ -659,7 +725,11 @@ impl<X: Fx, const L: usize> Domain<NoObs> for Lanes<'_, X, L> {
         }
     }
     #[inline(always)]
-    fn jump_if_zero(&mut self, src: u32, target: u32) -> bool {
+    fn jump(&mut self, _pc: usize, target: u32) -> usize {
+        target as usize
+    }
+    #[inline(always)]
+    fn jump_if_zero(&mut self, _pc: usize, src: u32, target: u32) -> bool {
         let shape = self.shape();
         let s = self.row(src);
         let regs = &*self.regs;

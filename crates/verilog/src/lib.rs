@@ -45,4 +45,4 @@ pub use sim::{
     BuildError, ConeTelemetry, Engine, InsnTelemetry, NetTelemetry, SchedConeWakes,
     SchedStatsReport, Simulator, TelemetryReport, UnitActivity, VSimError,
 };
-pub use tsys::{to_btor2, InputVar, Node, NodeId, StateVar, TOp, TransitionSystem};
+pub use tsys::{to_btor2, InputVar, Node, NodeId, StateVar, TransitionSystem};

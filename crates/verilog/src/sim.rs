@@ -751,6 +751,7 @@ fn cse_tape(tape: Vec<Insn>, consts: &[(u32, u64)]) -> (Vec<Insn>, Vec<u32>) {
 /// `regs` carry the *reset-state* contents (initial net values, zeroed
 /// memories, preloaded constant registers) — the view must be taken from a
 /// freshly built simulator, before any `step`.
+#[derive(Clone, Copy)]
 pub(crate) struct TapeView<'a> {
     pub net_names: &'a [String],
     pub net_width: &'a [u32],
@@ -4058,7 +4059,7 @@ impl Simulator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn counter() -> Design {
@@ -4327,7 +4328,7 @@ mod tests {
         }
     }
 
-    fn mx_design() -> Design {
+    pub(crate) fn mx_design() -> Design {
         let mut m = VModule::new("mx");
         m.port("clk", Dir::Input, 1);
         m.port("we", Dir::Input, 1);

@@ -745,23 +745,33 @@ fn verify_equiv_sim_budget_exhaustion_is_a_diagnostic_not_a_pass() {
 
 #[test]
 fn emit_btor2_matches_golden_across_runs() {
-    let golden = include_str!("golden/mac.btor2");
-    let run = || {
-        let out = hirc()
-            .arg(example("mac.mlir"))
-            .arg("--emit=btor2")
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
+    // mac has no step-tape `if` region; transpose and stencil have many.
+    for (name, golden) in [
+        ("mac", include_str!("golden/mac.btor2")),
+        ("transpose", include_str!("golden/transpose.btor2")),
+        ("stencil", include_str!("golden/stencil.btor2")),
+    ] {
+        let run = || {
+            let out = hirc()
+                .arg(example(&format!("{name}.mlir")))
+                .arg("--emit=btor2")
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{name} stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8_lossy(&out.stdout).to_string()
+        };
+        let t1 = run();
+        assert_eq!(t1, golden, "BTOR2 drifted from tests/golden/{name}.btor2");
+        assert_eq!(
+            t1,
+            run(),
+            "{name}: BTOR2 must be byte-identical across runs"
         );
-        String::from_utf8_lossy(&out.stdout).to_string()
-    };
-    let t1 = run();
-    assert_eq!(t1, golden, "BTOR2 drifted from tests/golden/mac.btor2");
-    assert_eq!(t1, run(), "BTOR2 must be byte-identical across runs");
+    }
 }
 
 #[test]
